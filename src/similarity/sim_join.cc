@@ -1,8 +1,12 @@
 #include "similarity/sim_join.h"
 
 #include <algorithm>
+#include <cctype>
 #include <cmath>
+#include <numeric>
+#include <string_view>
 #include <unordered_map>
+#include <utility>
 
 #include "common/logging.h"
 #include "common/metrics.h"
@@ -17,54 +21,186 @@ namespace {
 
 using TokenId = int32_t;
 
-// Maps token strings to dense ids ordered by ascending global frequency, the
-// canonical ordering for prefix filtering (rare tokens first makes prefixes
-// selective). The hash map lives only in the build/encode phase — probe loops
-// see dense ids and flat arrays.
-class TokenDictionary {
- public:
-  // Builds the dictionary from the two sides of the join directly (no
-  // concatenated copy of the token sets).
-  TokenDictionary(const std::vector<std::vector<std::string>>& left_sets,
-                  const std::vector<std::vector<std::string>>& right_sets) {
-    std::unordered_map<std::string, int64_t> freq;
-    for (const auto* sets : {&left_sets, &right_sets}) {
-      for (const auto& set : *sets) {
-        for (const auto& token : set) ++freq[token];  // cdb-lint: disable=flat-index-hot-path dictionary build phase, not a probe loop
+// --- Flat tokenization and the sort-built dictionary ------------------------
+// The flat kernels tokenize without a std::string per token. A 2-gram token
+// is an integer code and a word token a view into a buffer of the side's
+// lowercased bytes. Both orders equal std::string's order (bytes compared as
+// unsigned char, a proper prefix first), so sorting assigns exactly the ids
+// of the legacy kernel's TokenDictionary.
+
+// A word token: a view of its lowercased bytes plus their first 8 bytes
+// packed big-endian and zero-padded, so most comparisons settle on one
+// integer compare.
+struct WordToken {
+  uint64_t prefix = 0;
+  std::string_view text;
+
+  explicit WordToken(std::string_view s) : text(s) {
+    for (size_t k = 0; k < 8; ++k) {
+      prefix = (prefix << 8) |
+               (k < s.size() ? static_cast<unsigned char>(s[k]) : 0u);
+    }
+  }
+
+  friend bool operator<(const WordToken& x, const WordToken& y) {
+    if (x.prefix != y.prefix) return x.prefix < y.prefix;
+    // Equal packed prefixes make a token of <= 8 bytes a prefix of the other.
+    if (x.text.size() <= 8 || y.text.size() <= 8) {
+      return x.text.size() < y.text.size();
+    }
+    return x.text < y.text;
+  }
+  friend bool operator==(const WordToken& x, const WordToken& y) {
+    return x.prefix == y.prefix && x.text == y.text;
+  }
+};
+
+// One side's token sets: record r owns the next sizes[r] entries of `tokens`,
+// sorted and unique, each standing for one string of the set QGramSet /
+// WordTokenSet returns.
+template <typename Token>
+struct FlatTokens {
+  std::vector<Token> tokens;
+  std::vector<int32_t> sizes;
+
+  // Sorts and dedups the tokens appended since `begin` as record r's set.
+  void CloseRecord(size_t r, size_t begin) {
+    std::sort(tokens.begin() + static_cast<ptrdiff_t>(begin), tokens.end());
+    tokens.erase(std::unique(tokens.begin() + static_cast<ptrdiff_t>(begin),
+                             tokens.end()),
+                 tokens.end());
+    sizes[r] = static_cast<int32_t>(tokens.size() - begin);
+  }
+};
+
+// Byte classes through the same <cctype> calls as ToLower, Trim,
+// SplitWhitespace and WordTokenSet, so the flat tokens match their bytes.
+unsigned char LowerByte(char c) {
+  return static_cast<unsigned char>(
+      std::tolower(static_cast<unsigned char>(c)));
+}
+bool IsSpace(char c) {
+  return std::isspace(static_cast<unsigned char>(c)) != 0;
+}
+bool IsPunct(char c) {
+  return std::ispunct(static_cast<unsigned char>(c)) != 0;
+}
+
+// The 2-gram sets of QGramSet(value, 2), one code per gram: the first byte
+// in the high bits, then the second byte + 1 — or 0 for the one-byte token
+// of a string shorter than 2, which std::string orders before every 2-gram
+// it prefixes. Codes therefore compare like the gram strings.
+FlatTokens<uint32_t> QGramCodes(const std::vector<std::string>& values) {
+  FlatTokens<uint32_t> out;
+  out.sizes.resize(values.size());
+  for (size_t r = 0; r < values.size(); ++r) {
+    std::string_view s = values[r];
+    while (!s.empty() && IsSpace(s.front())) s.remove_prefix(1);
+    while (!s.empty() && IsSpace(s.back())) s.remove_suffix(1);
+    const size_t begin = out.tokens.size();
+    if (s.size() == 1) out.tokens.push_back(uint32_t{LowerByte(s[0])} << 9);
+    for (size_t k = 0; k + 1 < s.size(); ++k) {
+      out.tokens.push_back((uint32_t{LowerByte(s[k])} << 9) |
+                           (uint32_t{LowerByte(s[k + 1])} + 1));
+    }
+    out.CloseRecord(r, begin);
+  }
+  return out;
+}
+
+// The word sets of WordTokenSet(value) as views into `text`, which receives
+// every value's lowercased bytes and must outlive the views: whitespace-split
+// words with punctuation stripped from both edges, empty ones dropped.
+FlatTokens<WordToken> WordTokens(const std::vector<std::string>& values,
+                                 std::vector<char>& text) {
+  size_t total = 0;
+  for (const std::string& v : values) total += v.size();
+  text.resize(total);  // Sized once: the views below never dangle.
+  FlatTokens<WordToken> out;
+  out.sizes.resize(values.size());
+  size_t at = 0;
+  for (size_t r = 0; r < values.size(); ++r) {
+    const std::string& v = values[r];
+    for (size_t k = 0; k < v.size(); ++k) {
+      text[at + k] = static_cast<char>(LowerByte(v[k]));
+    }
+    const std::string_view s(text.data() + at, v.size());
+    at += v.size();
+    const size_t begin = out.tokens.size();
+    size_t k = 0;
+    while (k < s.size()) {
+      while (k < s.size() && IsSpace(s[k])) ++k;
+      size_t word_begin = k;
+      while (k < s.size() && !IsSpace(s[k])) ++k;
+      size_t word_end = k;
+      while (word_begin < word_end && IsPunct(s[word_begin])) ++word_begin;
+      while (word_end > word_begin && IsPunct(s[word_end - 1])) --word_end;
+      if (word_end > word_begin) {
+        out.tokens.emplace_back(s.substr(word_begin, word_end - word_begin));
       }
     }
-    std::vector<std::pair<int64_t, std::string>> by_freq;
-    by_freq.reserve(freq.size());
-    for (auto& [token, count] : freq) by_freq.emplace_back(count, token);
-    std::sort(by_freq.begin(), by_freq.end());
-    ids_.reserve(by_freq.size());
-    for (size_t i = 0; i < by_freq.size(); ++i) {
-      ids_.emplace(by_freq[i].second, static_cast<TokenId>(i));
+    out.CloseRecord(r, begin);
+  }
+  return out;
+}
+
+// Assigns dense ids in ascending (global frequency, token) order — the
+// canonical prefix-filter order (rare tokens first makes prefixes
+// selective) — by one sort over every token occurrence of both sides, and
+// writes each record's ids, sorted, into its arena span. A record holds a
+// token at most once, so the size of a run of equal tokens is the token's
+// frequency. Returns the number of distinct tokens.
+template <typename Token>
+size_t EncodeByFrequency(const FlatTokens<Token>& left,
+                         const FlatTokens<Token>& right,
+                         TokenArena& left_arena, TokenArena& right_arena) {
+  const size_t num_left = left.tokens.size();
+  const size_t total = num_left + right.tokens.size();
+  std::vector<std::pair<Token, int32_t>> occurrences;
+  occurrences.reserve(total);
+  for (size_t o = 0; o < total; ++o) {
+    occurrences.emplace_back(
+        o < num_left ? left.tokens[o] : right.tokens[o - num_left],
+        static_cast<int32_t>(o));
+  }
+  std::sort(occurrences.begin(), occurrences.end(),
+            [](const auto& x, const auto& y) { return x.first < y.first; });
+  // Distinct tokens in ascending token order, with their frequencies.
+  std::vector<int32_t> token_of(total);
+  std::vector<int32_t> frequency;
+  for (size_t o = 0; o < total; ++o) {
+    if (o == 0 || !(occurrences[o].first == occurrences[o - 1].first)) {
+      frequency.push_back(0);
+    }
+    ++frequency.back();
+    token_of[static_cast<size_t>(occurrences[o].second)] =
+        static_cast<int32_t>(frequency.size() - 1);
+  }
+  const size_t num_tokens = frequency.size();
+  // A stable sort by frequency keeps ties in token order.
+  std::vector<int32_t> by_freq(num_tokens);
+  std::iota(by_freq.begin(), by_freq.end(), 0);
+  std::stable_sort(by_freq.begin(), by_freq.end(), [&](int32_t x, int32_t y) {
+    return frequency[static_cast<size_t>(x)] <
+           frequency[static_cast<size_t>(y)];
+  });
+  std::vector<TokenId> id_of(num_tokens);
+  for (size_t id = 0; id < num_tokens; ++id) {
+    id_of[static_cast<size_t>(by_freq[id])] = static_cast<TokenId>(id);
+  }
+  size_t o = 0;
+  for (TokenArena* arena : {&left_arena, &right_arena}) {
+    for (size_t r = 0; r < arena->num_records(); ++r) {
+      TokenId* span = arena->MutableSpan(r);
+      const size_t n = arena->size(r);
+      for (size_t k = 0; k < n; ++k, ++o) {
+        span[k] = id_of[static_cast<size_t>(token_of[o])];
+      }
+      std::sort(span, span + n);
     }
   }
-
-  size_t size() const { return ids_.size(); }
-
-  // Translates a token set into sorted ids (ascending frequency order).
-  std::vector<TokenId> Encode(const std::vector<std::string>& set) const {
-    std::vector<TokenId> out(set.size());
-    EncodeInto(set, out.data());
-    return out;
-  }
-
-  // As Encode, but writes into a caller-owned span (the SoA arena).
-  void EncodeInto(const std::vector<std::string>& set, TokenId* out) const {
-    for (size_t k = 0; k < set.size(); ++k) {
-      auto it = ids_.find(set[k]);  // cdb-lint: disable=flat-index-hot-path one lookup per token in the encode phase, not a probe loop
-      CDB_DCHECK(it != ids_.end());
-      out[k] = it->second;
-    }
-    std::sort(out, out + set.size());
-  }
-
- private:
-  std::unordered_map<std::string, TokenId> ids_;
-};
+  return num_tokens;
+}
 
 // Chunk size for partitioning the left relation across the pool: a handful
 // of chunks per thread for balance, but coarse enough that the per-chunk
@@ -126,33 +262,7 @@ struct FunnelDelta {
   }
 };
 
-// --- Shared tokenize/prefix plumbing ---------------------------------------
-
-std::vector<std::vector<std::string>> TokenizeAll(
-    const std::vector<std::string>& values, SimilarityFunction fn,
-    int num_threads) {
-  std::vector<std::vector<std::string>> out(values.size());
-  ParallelFor(
-      0, static_cast<int64_t>(values.size()), /*grain=*/64,
-      [&](int64_t begin, int64_t end, int /*chunk*/) {
-        for (int64_t i = begin; i < end; ++i) {
-          const std::string& v = values[static_cast<size_t>(i)];
-          switch (fn) {
-            case SimilarityFunction::kWordJaccard:
-              out[static_cast<size_t>(i)] = WordTokenSet(v);
-              break;
-            case SimilarityFunction::kQGramJaccard:
-            case SimilarityFunction::kQGramCosine:
-              out[static_cast<size_t>(i)] = QGramSet(v, 2);
-              break;
-            default:
-              CDB_CHECK_MSG(false, "TokenizeAll: not a token-based function");
-          }
-        }
-      },
-      num_threads);
-  return out;
-}
+// --- Shared prefix plumbing -----------------------------------------------
 
 // Jaccard prefix length: a record of size n must share a token within its
 // first n - ceil(t * n) + 1 tokens with any record it joins at threshold t.
@@ -176,7 +286,7 @@ size_t CosinePrefixLength(size_t n, double t) {
 
 // --- Exact verification over encoded ids -----------------------------------
 // The legacy kernel re-verifies each candidate from the string token sets.
-// The flat kernel merges the already-encoded sorted TokenId spans instead.
+// The flat kernel counts the overlap of the already-encoded TokenId sets.
 // Encoding is a bijection on the tokens present, so intersection and set
 // sizes — and therefore the sim doubles computed from them with the exact
 // formulas of similarity.cc — are bit-identical.
@@ -216,30 +326,6 @@ size_t RequiredIntersectionCosine(size_t na, size_t nb, double t) {
   return m;
 }
 
-// Sorted-span intersection size with early abandon: returns any value <
-// `required` once even a full overlap of the remaining elements cannot reach
-// it (the caller only tests `>= required`, which the monotone construction
-// of `required` makes equivalent to the exact sim test).
-size_t IntersectIdsAbandon(const TokenId* a, size_t na, const TokenId* b,
-                           size_t nb, size_t required) {
-  size_t i = 0;
-  size_t j = 0;
-  size_t inter = 0;
-  while (i < na && j < nb) {
-    if (inter + std::min(na - i, nb - j) < required) return inter;
-    if (a[i] < b[j]) {
-      ++i;
-    } else if (b[j] < a[i]) {
-      ++j;
-    } else {
-      ++inter;
-      ++i;
-      ++j;
-    }
-  }
-  return inter;
-}
-
 // --- Token prefix join: flat kernel ----------------------------------------
 
 std::vector<SimPair> TokenPrefixJoinFlat(const std::vector<std::string>& left,
@@ -247,40 +333,34 @@ std::vector<SimPair> TokenPrefixJoinFlat(const std::vector<std::string>& left,
                                          SimilarityFunction fn,
                                          double threshold,
                                          const SimJoinOptions& options) {
-  std::vector<std::vector<std::string>> left_tokens =
-      TokenizeAll(left, fn, options.num_threads);
-  std::vector<std::vector<std::string>> right_tokens =
-      TokenizeAll(right, fn, options.num_threads);
-  TokenDictionary dict(left_tokens, right_tokens);
-
-  // SoA encode: all token ids in two flat arenas, one span per record,
-  // filled in parallel (spans are disjoint).
-  auto set_sizes = [](const std::vector<std::vector<std::string>>& sets) {
-    std::vector<int32_t> sizes(sets.size());
-    for (size_t r = 0; r < sets.size(); ++r) {
-      sizes[r] = static_cast<int32_t>(sets[r].size());
-    }
-    return sizes;
+  // SoA encode: all token ids in two flat arenas, one sorted span per record.
+  TokenArena left_arena;
+  TokenArena right_arena;
+  size_t num_tokens = 0;
+  auto encode = [&](const auto& left_tokens, const auto& right_tokens) {
+    left_arena = TokenArena(left_tokens.sizes);
+    right_arena = TokenArena(right_tokens.sizes);
+    num_tokens = EncodeByFrequency(left_tokens, right_tokens, left_arena,
+                                   right_arena);
   };
-  TokenArena left_arena(set_sizes(left_tokens));
-  TokenArena right_arena(set_sizes(right_tokens));
+  if (fn == SimilarityFunction::kWordJaccard) {
+    std::vector<char> left_text;
+    std::vector<char> right_text;
+    encode(WordTokens(left, left_text), WordTokens(right, right_text));
+  } else {
+    CDB_CHECK_MSG(fn == SimilarityFunction::kQGramJaccard ||
+                      fn == SimilarityFunction::kQGramCosine,
+                  "TokenPrefixJoinFlat: not a token-based function");
+    encode(QGramCodes(left), QGramCodes(right));
+  }
   std::vector<TokenSignature> left_sig(left.size());
   std::vector<TokenSignature> right_sig(right.size());
-  auto encode_side = [&](const std::vector<std::vector<std::string>>& tokens,
-                         TokenArena& arena, std::vector<TokenSignature>& sig) {
-    ParallelFor(
-        0, static_cast<int64_t>(tokens.size()), /*grain=*/64,
-        [&](int64_t begin, int64_t end, int /*chunk*/) {
-          for (int64_t r = begin; r < end; ++r) {
-            size_t rec = static_cast<size_t>(r);
-            dict.EncodeInto(tokens[rec], arena.MutableSpan(rec));
-            sig[rec] = SignatureOfIds(arena.begin(rec), arena.size(rec));
-          }
-        },
-        options.num_threads);
-  };
-  encode_side(left_tokens, left_arena, left_sig);
-  encode_side(right_tokens, right_arena, right_sig);
+  for (size_t i = 0; i < left.size(); ++i) {
+    left_sig[i] = SignatureOfIds(left_arena.begin(i), left_arena.size(i));
+  }
+  for (size_t j = 0; j < right.size(); ++j) {
+    right_sig[j] = SignatureOfIds(right_arena.begin(j), right_arena.size(j));
+  }
 
   const bool cosine = fn == SimilarityFunction::kQGramCosine;
   auto prefix_len = [&](size_t n) {
@@ -292,7 +372,7 @@ std::vector<SimPair> TokenPrefixJoinFlat(const std::vector<std::string>& left,
   // with ascending-j emission keeps every posting list in ascending-j order —
   // the order the legacy unordered_map index produced with push_back.
   CsrIndex index = CsrIndex::Build(
-      dict.size(), [&](const auto& sink) {
+      num_tokens, [&](const auto& sink) {
         for (size_t j = 0; j < right.size(); ++j) {
           size_t plen = prefix_len(right_arena.size(j));
           const TokenId* ids = right_arena.begin(j);
@@ -316,10 +396,14 @@ std::vector<SimPair> TokenPrefixJoinFlat(const std::vector<std::string>& left,
         // Thread-local dedup scratch: stamps are per-probe, so a fresh vector
         // per chunk reproduces the serial semantics exactly.
         std::vector<int32_t> seen_stamp(right.size(), -1);
+        // Marks the probing record's ids: a candidate's exact overlap is the
+        // number of its ids marked, one pass over the candidate's span.
+        std::vector<uint8_t> marked(num_tokens, 0);
         for (int64_t li = begin; li < end; ++li) {
           size_t i = static_cast<size_t>(li);
           const size_t na = left_arena.size(i);
           const TokenId* a = left_arena.begin(i);
+          for (size_t k = 0; k < na; ++k) marked[static_cast<size_t>(a[k])] = 1;
           size_t plen = prefix_len(na);
           for (size_t k = 0; k < plen; ++k) {
             auto [p, p_end] = index.Postings(a[k]);
@@ -348,14 +432,15 @@ std::vector<SimPair> TokenPrefixJoinFlat(const std::vector<std::string>& left,
                 }
               }
               ++delta.verified;
-              // Exact verify: linear merge over the sorted id spans, with an
-              // admissible early abandon below the required intersection.
               const size_t required =
                   cosine ? RequiredIntersectionCosine(na, nb, threshold)
                          : RequiredIntersectionJaccard(na, nb, threshold);
               if (required > std::min(na, nb)) continue;
               const TokenId* b = right_arena.begin(static_cast<size_t>(j));
-              size_t inter = IntersectIdsAbandon(a, na, b, nb, required);
+              size_t inter = 0;
+              for (size_t q = 0; q < nb; ++q) {
+                inter += marked[static_cast<size_t>(b[q])];
+              }
               if (inter < required) continue;
               double sim =
                   cosine
@@ -368,6 +453,7 @@ std::vector<SimPair> TokenPrefixJoinFlat(const std::vector<std::string>& left,
               ++delta.pairs;
             }
           }
+          for (size_t k = 0; k < na; ++k) marked[static_cast<size_t>(a[k])] = 0;
         }
         delta.Flush(funnel);
       },
@@ -379,6 +465,72 @@ std::vector<SimPair> TokenPrefixJoinFlat(const std::vector<std::string>& left,
 // The original hash-map implementation, preserved verbatim as the
 // bit-identity oracle and the perf baseline. Do not "optimize" it: its value
 // is being an independent derivation of the same output.
+
+// Maps token strings to dense ids ordered by ascending global frequency (the
+// flat kernels build the same order by sorting, see EncodeByFrequency).
+class TokenDictionary {
+ public:
+  // Builds the dictionary from the two sides of the join directly (no
+  // concatenated copy of the token sets).
+  TokenDictionary(const std::vector<std::vector<std::string>>& left_sets,
+                  const std::vector<std::vector<std::string>>& right_sets) {
+    std::unordered_map<std::string, int64_t> freq;
+    for (const auto* sets : {&left_sets, &right_sets}) {
+      for (const auto& set : *sets) {
+        for (const auto& token : set) ++freq[token];  // cdb-lint: disable=flat-index-hot-path dictionary build phase, not a probe loop
+      }
+    }
+    std::vector<std::pair<int64_t, std::string>> by_freq;
+    by_freq.reserve(freq.size());
+    for (auto& [token, count] : freq) by_freq.emplace_back(count, token);
+    std::sort(by_freq.begin(), by_freq.end());
+    ids_.reserve(by_freq.size());
+    for (size_t i = 0; i < by_freq.size(); ++i) {
+      ids_.emplace(by_freq[i].second, static_cast<TokenId>(i));
+    }
+  }
+
+  // Translates a token set into sorted ids (ascending frequency order).
+  std::vector<TokenId> Encode(const std::vector<std::string>& set) const {
+    std::vector<TokenId> out(set.size());
+    for (size_t k = 0; k < set.size(); ++k) {
+      auto it = ids_.find(set[k]);  // cdb-lint: disable=flat-index-hot-path one lookup per token in the encode phase, not a probe loop
+      CDB_DCHECK(it != ids_.end());
+      out[k] = it->second;
+    }
+    std::sort(out.begin(), out.end());
+    return out;
+  }
+
+ private:
+  std::unordered_map<std::string, TokenId> ids_;
+};
+
+std::vector<std::vector<std::string>> TokenizeAll(
+    const std::vector<std::string>& values, SimilarityFunction fn,
+    int num_threads) {
+  std::vector<std::vector<std::string>> out(values.size());
+  ParallelFor(
+      0, static_cast<int64_t>(values.size()), /*grain=*/64,
+      [&](int64_t begin, int64_t end, int /*chunk*/) {
+        for (int64_t i = begin; i < end; ++i) {
+          const std::string& v = values[static_cast<size_t>(i)];
+          switch (fn) {
+            case SimilarityFunction::kWordJaccard:
+              out[static_cast<size_t>(i)] = WordTokenSet(v);
+              break;
+            case SimilarityFunction::kQGramJaccard:
+            case SimilarityFunction::kQGramCosine:
+              out[static_cast<size_t>(i)] = QGramSet(v, 2);
+              break;
+            default:
+              CDB_CHECK_MSG(false, "TokenizeAll: not a token-based function");
+          }
+        }
+      },
+      num_threads);
+  return out;
+}
 
 std::vector<SimPair> TokenPrefixJoinLegacy(
     const std::vector<std::string>& left, const std::vector<std::string>& right,
@@ -471,6 +623,58 @@ std::vector<SimPair> TokenPrefixJoinLegacy(
 
 // --- Edit-distance join ----------------------------------------------------
 
+// Scratch rows for the banded Levenshtein verifier, reused across calls.
+struct EditRows {
+  std::vector<size_t> prev;
+  std::vector<size_t> cur;
+};
+
+// BoundedEditDistance over caller-owned rows, which only ever grow, so the
+// flat edit-distance kernel verifies without allocating. Only cells with
+// |i - j| <= max_dist can be <= max_dist. Each row writes its band and resets
+// the one cell on either side of it that the band's reads reach (the left
+// neighbour for insertions, the right one for the next row's deletions), so
+// a row costs O(band), not O(m).
+size_t BandedEditDistance(std::string_view a, std::string_view b,
+                          size_t max_dist, EditRows& rows) {
+  const size_t n = a.size();
+  const size_t m = b.size();
+  size_t diff = n > m ? n - m : m - n;
+  if (diff > max_dist) return max_dist + 1;
+  const size_t kInf = max_dist + 1;
+  if (rows.prev.size() < m + 2) {
+    rows.prev.resize(m + 2);
+    rows.cur.resize(m + 2);
+  }
+  size_t* prev = rows.prev.data();
+  size_t* cur = rows.cur.data();
+  const size_t hi0 = std::min(m, max_dist);
+  for (size_t j = 0; j <= hi0; ++j) prev[j] = j;
+  prev[hi0 + 1] = kInf;
+  for (size_t i = 1; i <= n; ++i) {
+    size_t lo = i > max_dist ? i - max_dist : 0;
+    size_t hi = std::min(m, i + max_dist);
+    size_t row_min = kInf;
+    if (lo == 0) {
+      cur[0] = i;
+      row_min = i;
+    } else {
+      cur[lo - 1] = kInf;
+    }
+    for (size_t j = std::max<size_t>(lo, 1); j <= hi; ++j) {
+      size_t sub = prev[j - 1] + (a[i - 1] == b[j - 1] ? 0 : 1);
+      size_t del = prev[j] == kInf ? kInf : prev[j] + 1;
+      size_t ins = cur[j - 1] == kInf ? kInf : cur[j - 1] + 1;
+      cur[j] = std::min({sub, del, ins, kInf});
+      row_min = std::min(row_min, cur[j]);
+    }
+    cur[hi + 1] = kInf;
+    if (row_min > max_dist) return max_dist + 1;  // Early abandon.
+    std::swap(prev, cur);
+  }
+  return std::min(prev[m], kInf);
+}
+
 // Right lengths L compatible with a left string of length n at threshold t:
 // for L <= n the pair's max_len is n, so L >= n - floor((1-t) * n); for
 // L > n the max_len is L, so L - floor((1-t) * L) <= n — the left side of
@@ -505,56 +709,26 @@ std::vector<SimPair> EditDistanceJoinFlat(const std::vector<std::string>& left,
   for (size_t j = 0; j < right.size(); ++j) right_lower[j] = ToLower(right[j]);
 
   // Gram sets on both sides, encoded once into flat arenas (the legacy
-  // kernel re-materialized the left gram set per probe).
-  std::vector<std::vector<std::string>> left_grams(left.size());
-  std::vector<std::vector<std::string>> right_grams(right.size());
-  auto tokenize_grams = [&](const std::vector<std::string>& lower,
-                            std::vector<std::vector<std::string>>& grams) {
-    ParallelFor(
-        0, static_cast<int64_t>(lower.size()), /*grain=*/64,
-        [&](int64_t begin, int64_t end, int /*chunk*/) {
-          for (int64_t r = begin; r < end; ++r) {
-            grams[static_cast<size_t>(r)] =
-                QGramSet(lower[static_cast<size_t>(r)], 2);
-          }
-        },
-        options.num_threads);
-  };
-  tokenize_grams(left_lower, left_grams);
-  tokenize_grams(right_lower, right_grams);
-  TokenDictionary dict(left_grams, right_grams);
-
-  auto set_sizes = [](const std::vector<std::vector<std::string>>& sets) {
-    std::vector<int32_t> sizes(sets.size());
-    for (size_t r = 0; r < sets.size(); ++r) {
-      sizes[r] = static_cast<int32_t>(sets[r].size());
-    }
-    return sizes;
-  };
-  TokenArena left_arena(set_sizes(left_grams));
-  TokenArena right_arena(set_sizes(right_grams));
+  // kernel re-materialized the left gram set per probe). QGramCodes trims
+  // and lowercases again, as QGramSet(lower, 2) does.
+  FlatTokens<uint32_t> left_grams = QGramCodes(left_lower);
+  FlatTokens<uint32_t> right_grams = QGramCodes(right_lower);
+  TokenArena left_arena(left_grams.sizes);
+  TokenArena right_arena(right_grams.sizes);
+  const size_t num_grams =
+      EncodeByFrequency(left_grams, right_grams, left_arena, right_arena);
   // Signatures come from the raw (untrimmed) lowercased bytes so the
   // admissibility bound is stated against the exact strings the banded
-  // verifier sees; the gram arenas (QGramSet, trimmed) feed only the
+  // verifier sees; the gram arenas (trimmed, as QGramSet) feed only the
   // legacy-compatible shared-gram filter.
   std::vector<TokenSignature> left_sig(left.size());
   std::vector<TokenSignature> right_sig(right.size());
-  auto encode_side = [&](const std::vector<std::string>& lower,
-                         const std::vector<std::vector<std::string>>& grams,
-                         TokenArena& arena, std::vector<TokenSignature>& sig) {
-    ParallelFor(
-        0, static_cast<int64_t>(lower.size()), /*grain=*/64,
-        [&](int64_t begin, int64_t end, int /*chunk*/) {
-          for (int64_t r = begin; r < end; ++r) {
-            size_t rec = static_cast<size_t>(r);
-            dict.EncodeInto(grams[rec], arena.MutableSpan(rec));
-            sig[rec] = SignatureOfGrams(lower[rec]);
-          }
-        },
-        options.num_threads);
-  };
-  encode_side(left_lower, left_grams, left_arena, left_sig);
-  encode_side(right_lower, right_grams, right_arena, right_sig);
+  for (size_t i = 0; i < left.size(); ++i) {
+    left_sig[i] = SignatureOfGrams(left_lower[i]);
+  }
+  for (size_t j = 0; j < right.size(); ++j) {
+    right_sig[j] = SignatureOfGrams(right_lower[j]);
+  }
 
   size_t max_right_len = 0;
   for (const std::string& b : right_lower) {
@@ -564,7 +738,7 @@ std::vector<SimPair> EditDistanceJoinFlat(const std::vector<std::string>& left,
   // CSR gram index and length-keyed candidate index over the right side,
   // both count-then-fill with ascending-j emission.
   CsrIndex gram_index = CsrIndex::Build(
-      dict.size(), [&](const auto& sink) {
+      num_grams, [&](const auto& sink) {
         for (size_t j = 0; j < right.size(); ++j) {
           const TokenId* ids = right_arena.begin(j);
           const size_t n = right_arena.size(j);
@@ -592,6 +766,7 @@ std::vector<SimPair> EditDistanceJoinFlat(const std::vector<std::string>& left,
         FunnelDelta delta;
         std::vector<int32_t> shared_stamp(right.size(), -1);
         std::vector<int32_t> candidates;
+        EditRows rows;
         for (int64_t li = begin; li < end; ++li) {
           size_t i = static_cast<size_t>(li);
           const std::string& a = left_lower[i];
@@ -639,7 +814,7 @@ std::vector<SimPair> EditDistanceJoinFlat(const std::vector<std::string>& left,
               continue;
             }
             ++delta.verified;
-            size_t dist = BoundedEditDistance(a, b, max_dist);
+            size_t dist = BandedEditDistance(a, b, max_dist, rows);
             if (dist <= max_dist) {
               double sim =
                   1.0 - static_cast<double>(dist) / static_cast<double>(max_len);
@@ -768,33 +943,8 @@ std::vector<SimPair> CrossProduct(size_t n_left, size_t n_right, double sim) {
 
 size_t BoundedEditDistance(const std::string& a, const std::string& b,
                            size_t max_dist) {
-  const size_t n = a.size();
-  const size_t m = b.size();
-  size_t diff = n > m ? n - m : m - n;
-  if (diff > max_dist) return max_dist + 1;
-  const size_t kInf = max_dist + 1;
-  // Banded DP: only cells with |i - j| <= max_dist can be <= max_dist.
-  std::vector<size_t> prev(m + 1, kInf);
-  std::vector<size_t> cur(m + 1, kInf);
-  for (size_t j = 0; j <= std::min(m, max_dist); ++j) prev[j] = j;
-  for (size_t i = 1; i <= n; ++i) {
-    size_t lo = i > max_dist ? i - max_dist : 0;
-    size_t hi = std::min(m, i + max_dist);
-    std::fill(cur.begin(), cur.end(), kInf);
-    if (lo == 0) cur[0] = i <= max_dist ? i : kInf;
-    size_t row_min = kInf;
-    for (size_t j = std::max<size_t>(lo, 1); j <= hi; ++j) {
-      size_t sub = prev[j - 1] + (a[i - 1] == b[j - 1] ? 0 : 1);
-      size_t del = prev[j] == kInf ? kInf : prev[j] + 1;
-      size_t ins = cur[j - 1] == kInf ? kInf : cur[j - 1] + 1;
-      cur[j] = std::min({sub, del, ins, kInf});
-      row_min = std::min(row_min, cur[j]);
-    }
-    if (lo == 0) row_min = std::min(row_min, cur[0]);
-    if (row_min > max_dist) return max_dist + 1;  // Early abandon.
-    std::swap(prev, cur);
-  }
-  return std::min(prev[m], kInf);
+  EditRows rows;
+  return BandedEditDistance(a, b, max_dist, rows);
 }
 
 const char* SimJoinKernelName(SimJoinKernel kernel) {

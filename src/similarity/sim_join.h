@@ -9,12 +9,14 @@
 //
 // Two kernels produce bit-identical output (ctest -L simjoin proves it):
 //
-//   kFlat    The default. Posting lists live in CSR arrays (csr_index.h),
-//            encoded token sets in a flat SoA arena, and a 64-bit
-//            XOR+popcount signature pre-filter (signature.h) rejects
+//   kFlat    The default. Tokens are integer 2-gram codes or views of the
+//            lowercased bytes (no std::string per token), the dictionary is
+//            built by sorting, posting lists live in CSR arrays
+//            (csr_index.h), encoded token sets in a flat SoA arena, and a
+//            64-bit XOR+popcount signature pre-filter (signature.h) rejects
 //            provably-below-threshold pairs before the exact verify, which
-//            itself is a linear merge over dense TokenIds instead of a
-//            re-comparison of string sets.
+//            counts the candidate's ids present in a mark array of the
+//            probing record's ids instead of re-comparing string sets.
 //   kLegacy  The original hash-map kernel, kept as the bit-identity oracle
 //            for tests and as the baseline the perf-trajectory artifact
 //            (BENCH_simjoin.json) measures speedups against.
@@ -72,8 +74,14 @@ struct SimJoinOptions {
 // Returns all pairs (i, j) with ComputeSimilarity(fn, left[i], right[j]) >=
 // threshold. Exact (verification recomputes the true similarity); the filter
 // only prunes. For kNoSim every pair has similarity 0.5, so the result is the
-// full cross product when threshold <= 0.5 and empty otherwise. Pairs are
-// emitted in ascending (left, right) order.
+// full cross product when threshold <= 0.5 and empty otherwise.
+//
+// Emission order (query-graph edge ids follow it): ascending left index.
+// Within one left row, the token joins (word/2-gram Jaccard, cosine) emit
+// right rows in the order the probe first reaches them: over the left
+// record's prefix tokens in ascending (global frequency, token) order, and
+// within a token's posting list in ascending right index — so right indexes
+// need not ascend. Edit distance and kNoSim emit ascending right indexes.
 std::vector<SimPair> SimilarityJoin(const std::vector<std::string>& left,
                                     const std::vector<std::string>& right,
                                     SimilarityFunction fn, double threshold,

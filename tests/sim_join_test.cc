@@ -66,6 +66,30 @@ TEST(BoundedEditDistanceTest, EmptyStrings) {
   EXPECT_EQ(BoundedEditDistance("abc", "", 2), 3u);  // max + 1.
 }
 
+// The banded kernel must agree with the full dynamic program whenever the
+// distance is within the band, and report max_dist + 1 otherwise.
+TEST(BoundedEditDistanceTest, MatchesFullDynamicProgram) {
+  Rng rng(2024);
+  const std::string alphabet = "abcA ";
+  auto random_string = [&]() {
+    std::string s(static_cast<size_t>(rng.UniformInt(0, 12)), ' ');
+    for (char& c : s) {
+      c = alphabet[static_cast<size_t>(rng.UniformInt(0, 4))];
+    }
+    return s;
+  };
+  for (int trial = 0; trial < 3000; ++trial) {
+    std::string a = random_string();
+    std::string b = random_string();
+    size_t full = EditDistance(a, b);
+    for (size_t max_dist = 0; max_dist <= 8; ++max_dist) {
+      EXPECT_EQ(BoundedEditDistance(a, b, max_dist),
+                std::min(full, max_dist + 1))
+          << "a='" << a << "' b='" << b << "' max_dist=" << max_dist;
+    }
+  }
+}
+
 TEST(SimilarityJoinTest, NoSimIsCrossProductBelowHalf) {
   std::vector<std::string> left = {"a", "b"};
   std::vector<std::string> right = {"x", "y", "z"};

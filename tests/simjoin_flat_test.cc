@@ -6,18 +6,24 @@
 //   * the signature pre-filter never changes the output (it may only skip
 //     work), and its bounds never reject a pair whose exact similarity
 //     reaches the threshold,
+//   * the same holds on the paper dataset's crowd-join columns and on a
+//     corpus of tokenizer edge cases,
+//   * token joins emit a left row's partners in prefix-posting order, which
+//     is not ascending right order, identically in both kernels,
 //   * CSR / arena building blocks preserve emission order,
 //   * the funnel counters obey candidates == signature_rejects + verified.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstring>
+#include <ostream>
 #include <set>
 #include <string>
 #include <vector>
 
 #include "common/metrics.h"
 #include "common/random.h"
+#include "datagen/paper_dataset.h"
 #include "datagen/perturb.h"
 #include "datagen/string_corpus.h"
 #include "similarity/csr_index.h"
@@ -115,6 +121,212 @@ INSTANTIATE_TEST_SUITE_P(
         IdentityCase{SimilarityFunction::kEditDistance, 0.8, 8},
         IdentityCase{SimilarityFunction::kEditDistance, 0.95, 1},
         IdentityCase{SimilarityFunction::kEditDistance, 0.95, 8}));
+
+// --- Identity on real columns and tokenizer edge cases ---------------------
+
+// Legacy at 1 thread against flat at 1 and 4 threads: the same pairs bit for
+// bit, the same candidates and pairs counted by both kernels, a balanced
+// flat funnel, and flat counters that do not depend on the thread count.
+void ExpectKernelsAgree(const std::vector<std::string>& left,
+                        const std::vector<std::string>& right,
+                        SimilarityFunction fn, double threshold,
+                        const std::string& context) {
+  MetricsRegistry legacy_metrics;
+  SimJoinOptions legacy;
+  legacy.kernel = SimJoinKernel::kLegacy;
+  legacy.num_threads = 1;
+  legacy.metrics = &legacy_metrics;
+  std::vector<SimPair> oracle =
+      SimilarityJoin(left, right, fn, threshold, legacy);
+  std::string serial_dump;
+  for (int threads : {1, 4}) {
+    MetricsRegistry metrics;
+    SimJoinOptions flat;
+    flat.num_threads = threads;
+    flat.metrics = &metrics;
+    std::vector<SimPair> got = SimilarityJoin(left, right, fn, threshold, flat);
+    const std::string where = context + " " + SimilarityFunctionName(fn) +
+                              " t=" + std::to_string(threshold) +
+                              " threads=" + std::to_string(threads);
+    ExpectBitIdentical(oracle, got, where);
+    const int64_t candidates = metrics.counter("simjoin.candidates").Value();
+    EXPECT_EQ(candidates, legacy_metrics.counter("simjoin.candidates").Value())
+        << where;
+    EXPECT_EQ(metrics.counter("simjoin.pairs").Value(),
+              legacy_metrics.counter("simjoin.pairs").Value())
+        << where;
+    EXPECT_EQ(candidates,
+              metrics.counter("simjoin.signature_rejects").Value() +
+                  metrics.counter("simjoin.verified").Value())
+        << where;
+    if (threads == 1) {
+      serial_dump = MetricsDump(metrics);
+    } else {
+      EXPECT_EQ(serial_dump, MetricsDump(metrics)) << where;
+    }
+  }
+}
+
+struct PaperJoinCase {
+  const char* left_table;
+  const char* left_column;
+  const char* right_table;
+  const char* right_column;
+  SimilarityFunction fn;
+};
+
+// Names the case in test listings (the default would print raw pointers).
+void PrintTo(const PaperJoinCase& c, std::ostream* os) {
+  *os << c.left_table << "." << c.left_column << " x " << c.right_table << "."
+      << c.right_column << " " << SimilarityFunctionName(c.fn);
+}
+
+class PaperColumnsIdentityTest
+    : public ::testing::TestWithParam<PaperJoinCase> {};
+
+// The three crowd joins of the Table-4 queries, at the paper's cardinalities
+// (scale 1.0) and the graph's default epsilon.
+TEST_P(PaperColumnsIdentityTest, FlatMatchesLegacyAtEpsilon) {
+  const PaperJoinCase c = GetParam();
+  GeneratedDataset ds = GeneratePaperDataset(PaperDatasetOptions{});
+  std::vector<std::string> left = ds.catalog.GetTable(c.left_table)
+                                      .value()
+                                      ->StringColumn(c.left_column)
+                                      .value();
+  std::vector<std::string> right = ds.catalog.GetTable(c.right_table)
+                                       .value()
+                                       ->StringColumn(c.right_column)
+                                       .value();
+  ExpectKernelsAgree(left, right, c.fn, 0.3,
+                     std::string(c.left_table) + "." + c.left_column + " x " +
+                         c.right_table + "." + c.right_column);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    CrowdJoinColumns, PaperColumnsIdentityTest,
+    ::testing::Values(
+        PaperJoinCase{"Paper", "title", "Citation", "title",
+                      SimilarityFunction::kQGramJaccard},
+        PaperJoinCase{"Paper", "title", "Citation", "title",
+                      SimilarityFunction::kQGramCosine},
+        PaperJoinCase{"Paper", "title", "Citation", "title",
+                      SimilarityFunction::kWordJaccard},
+        PaperJoinCase{"Paper", "author", "Researcher", "name",
+                      SimilarityFunction::kQGramJaccard},
+        PaperJoinCase{"Paper", "author", "Researcher", "name",
+                      SimilarityFunction::kQGramCosine},
+        PaperJoinCase{"Paper", "author", "Researcher", "name",
+                      SimilarityFunction::kWordJaccard},
+        PaperJoinCase{"University", "name", "Researcher", "affiliation",
+                      SimilarityFunction::kQGramJaccard},
+        PaperJoinCase{"University", "name", "Researcher", "affiliation",
+                      SimilarityFunction::kQGramCosine},
+        PaperJoinCase{"University", "name", "Researcher", "affiliation",
+                      SimilarityFunction::kWordJaccard}));
+
+// Empty and whitespace-only strings, 1-char strings (the one-token rule),
+// mixed case, bytes >= 0x80, repeated grams, punctuation-only words, and
+// words of equal frequency where one is a prefix of the other (shorter than,
+// exactly, and beyond the 8 bytes a word token packs, and with a NUL byte),
+// whose id order sets the probe order.
+std::vector<std::string> EdgeCaseStrings() {
+  return {"",
+          " ",
+          "\t \n",
+          "a",
+          "A",
+          " b ",
+          "\xC3",
+          "aa",
+          "aaaa",
+          "abab",
+          "ABab",
+          "ab",
+          "ba",
+          "  ab  ",
+          "Mixed CASE words",
+          "mixed case WORDS",
+          "\xC3\xA9t\xC3\xA9",
+          "\xC3\x89T\xC3\x89",
+          "\x80\x81 \xFF\xFE",
+          "\xFF\xFE\xFF\xFE",
+          "!!! ... ???",
+          "-- x --",
+          "x",
+          "a.b a.b (a.b)",
+          "hello, world!",
+          "HELLO world",
+          "world hello hello",
+          "za",
+          "z\x80",
+          "pre prefix",
+          "pre",
+          "prefix",
+          "abcdefgh abcdefghij",
+          "abcdefgh",
+          "abcdefghij",
+          std::string("nul nul\0", 8),
+          "nul",
+          std::string("nul\0", 4),
+          "overlapping overlappingly",
+          "overlapping",
+          "overlappingly"};
+}
+
+TEST(SimJoinEdgeCaseTest, FlatMatchesLegacyOnTokenizerEdgeCases) {
+  const std::vector<std::string> left = EdgeCaseStrings();
+  std::vector<std::string> right(left.rbegin(), left.rend());
+  right.push_back("aA");
+  right.push_back("...");
+  for (SimilarityFunction fn :
+       {SimilarityFunction::kWordJaccard, SimilarityFunction::kQGramJaccard,
+        SimilarityFunction::kQGramCosine, SimilarityFunction::kEditDistance}) {
+    for (double threshold : {0.1, 0.3, 0.5, 0.8, 1.0}) {
+      ExpectKernelsAgree(left, right, fn, threshold, "edge cases");
+    }
+  }
+}
+
+// The edit-distance kernel reuses its verifier rows across candidates; every
+// pair it reports must carry the sim of an independent full dynamic program,
+// bit for bit. (Completeness is not asserted: the shared-2-gram filter works
+// on trimmed grams, so a whitespace-only string never meets its equal.)
+TEST(SimJoinEdgeCaseTest, EditDistanceSimsMatchFullDynamicProgram) {
+  const std::vector<std::string> left = EdgeCaseStrings();
+  const std::vector<std::string> right(left.rbegin(), left.rend());
+  for (double threshold : {0.1, 0.5, 0.8}) {
+    std::vector<SimPair> pairs = SimilarityJoin(
+        left, right, SimilarityFunction::kEditDistance, threshold);
+    EXPECT_FALSE(pairs.empty());
+    for (const SimPair& p : pairs) {
+      const double expected = ComputeSimilarity(
+          SimilarityFunction::kEditDistance, left[static_cast<size_t>(p.left)],
+          right[static_cast<size_t>(p.right)]);
+      EXPECT_EQ(std::memcmp(&p.sim, &expected, sizeof(double)), 0)
+          << "t=" << threshold << " pair " << p.left << "," << p.right;
+      EXPECT_GE(p.sim, threshold);
+    }
+  }
+}
+
+// A left row's partners come in first-appearance order over its prefix
+// postings. Frequencies: "rare" 2, "common" 3, so "rare" is probed first and
+// reaches right row 1 before "common" reaches right row 0.
+TEST(SimJoinOrderTest, TokenJoinEmitsInPrefixPostingOrder) {
+  const std::vector<std::string> left = {"rare common"};
+  const std::vector<std::string> right = {"common", "rare common"};
+  for (SimJoinKernel kernel : {SimJoinKernel::kFlat, SimJoinKernel::kLegacy}) {
+    SimJoinOptions options;
+    options.kernel = kernel;
+    std::vector<SimPair> pairs = SimilarityJoin(
+        left, right, SimilarityFunction::kWordJaccard, 0.5, options);
+    ASSERT_EQ(pairs.size(), 2u) << SimJoinKernelName(kernel);
+    EXPECT_EQ(pairs[0].right, 1) << SimJoinKernelName(kernel);
+    EXPECT_EQ(pairs[0].sim, 1.0) << SimJoinKernelName(kernel);
+    EXPECT_EQ(pairs[1].right, 0) << SimJoinKernelName(kernel);
+    EXPECT_EQ(pairs[1].sim, 0.5) << SimJoinKernelName(kernel);
+  }
+}
 
 // --- Signature admissibility ------------------------------------------------
 
