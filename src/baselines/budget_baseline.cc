@@ -65,7 +65,6 @@ Result<ExecutionResult> BudgetBaselineExecutor::Run() {
   });
 
   int64_t budget_left = options_.budget;
-  std::vector<ChoiceObservation> observations;
 
   // Asks one edge through the crowd (sequentially — the baseline is a
   // depth-first traversal) and colors it. Returns its resulting color.
@@ -77,6 +76,10 @@ Result<ExecutionResult> BudgetBaselineExecutor::Run() {
     task.choices = {"yes", "no"};
     task.payload = e;
     std::vector<Answer> answers = publisher.Publish({task}, nullptr, nullptr).value();
+    // Each edge is asked once and majority voting is per task, so this ask's
+    // answers are all its truth depends on.
+    std::vector<ChoiceObservation> observations;
+    observations.reserve(answers.size());
     for (const Answer& answer : answers) {
       observations.push_back(
           ChoiceObservation{answer.task, answer.worker, answer.choice});

@@ -46,7 +46,6 @@ Result<ExecutionResult> TreeModelExecutor::Run() {
     return graph_.edge(e).color == EdgeColor::kBlue;
   };
 
-  std::vector<ChoiceObservation> observations;
   std::vector<int> executed;
   std::vector<uint8_t> active(graph_.num_vertices(), 1);
   for (int p : order) {
@@ -71,6 +70,11 @@ Result<ExecutionResult> TreeModelExecutor::Run() {
     }
     if (!tasks.empty()) {
       std::vector<Answer> answers = publisher.Publish(tasks, nullptr, nullptr).value();
+      // Every edge is asked in exactly one predicate round and majority
+      // voting is per task, so this round's answers are all its truths
+      // depend on.
+      std::vector<ChoiceObservation> observations;
+      observations.reserve(answers.size());
       for (const Answer& answer : answers) {
         observations.push_back(
             ChoiceObservation{answer.task, answer.worker, answer.choice});

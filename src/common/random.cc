@@ -48,20 +48,24 @@ Status Rng::LoadState(const std::string& state) {
   return Status::Ok();
 }
 
-int64_t Rng::Zipf(int64_t n, double s) {
-  CDB_CHECK(n > 0);
-  if (s <= 0.0) return UniformInt(0, n - 1);
-  // Inverse-CDF over the (small) support. n is at most a few thousand in our
-  // workloads, so a linear scan is fine and exact.
-  double norm = 0.0;
-  for (int64_t k = 1; k <= n; ++k) norm += 1.0 / std::pow(double(k), s);
-  double u = Uniform() * norm;
+ZipfTable::ZipfTable(int64_t n, double s) : n_(n), uniform_(s <= 0.0) {
+  if (uniform_ || n <= 0) return;
+  cdf_.resize(static_cast<size_t>(n));
   double acc = 0.0;
   for (int64_t k = 1; k <= n; ++k) {
     acc += 1.0 / std::pow(double(k), s);
-    if (u <= acc) return k - 1;
+    cdf_[static_cast<size_t>(k - 1)] = acc;
   }
-  return n - 1;
+}
+
+int64_t ZipfTable::Draw(Rng& rng) const {
+  CDB_CHECK(n_ > 0);
+  if (uniform_) return rng.UniformInt(0, n_ - 1);
+  // Inverse CDF: the first k whose running sum reaches u.
+  double u = rng.Uniform() * cdf_.back();
+  auto it = std::lower_bound(cdf_.begin(), cdf_.end(), u);
+  if (it == cdf_.end()) return n_ - 1;
+  return static_cast<int64_t>(it - cdf_.begin());
 }
 
 }  // namespace cdb

@@ -55,10 +55,6 @@ class Rng {
   // paper draws from N(q, 0.01) but which must stay a probability.
   double ClampedGaussian(double mean, double stddev, double lo, double hi);
 
-  // Zipf-distributed index in [0, n) with exponent s (s=0 is uniform). Used
-  // by the COLLECT simulator to model entity popularity.
-  int64_t Zipf(int64_t n, double s);
-
   // In-place Fisher-Yates shuffle.
   template <typename T>
   void Shuffle(std::vector<T>& items) {
@@ -87,6 +83,25 @@ class Rng {
  private:
   std::mt19937_64 engine_;
   std::uniform_real_distribution<double> unit_{0.0, 1.0};
+};
+
+// Zipf-distributed indexes in [0, n) with exponent s (s <= 0 is uniform).
+// Used by the COLLECT simulator to model entity popularity and by the string
+// corpus generator for word frequencies. The cumulative weights are computed
+// once per table, so a draw is one Uniform() and a binary search; build the
+// table once per (n, s) and draw from any generator. Drawing requires n > 0.
+class ZipfTable {
+ public:
+  ZipfTable(int64_t n, double s);
+
+  int64_t Draw(Rng& rng) const;
+
+ private:
+  int64_t n_;
+  bool uniform_;
+  // Running sums of 1 / k^s for k = 1..n, accumulated in k order; the last
+  // one is the normalizer.
+  std::vector<double> cdf_;
 };
 
 }  // namespace cdb

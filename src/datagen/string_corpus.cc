@@ -32,14 +32,14 @@ std::string MakeWord(Rng& rng) {
 
 // Fresh record: min..max vocabulary words, Zipf-weighted.
 std::string MakeRecord(const std::vector<std::string>& vocab,
+                       const ZipfTable& word_frequency,
                        const StringCorpusOptions& options, Rng& rng) {
   int words = static_cast<int>(
       rng.UniformInt(options.min_words, options.max_words));
   std::string out;
   for (int w = 0; w < words; ++w) {
     if (w > 0) out += ' ';
-    out += vocab[static_cast<size_t>(
-        rng.Zipf(static_cast<int64_t>(vocab.size()), options.zipf_s))];
+    out += vocab[static_cast<size_t>(word_frequency.Draw(rng))];
   }
   return out;
 }
@@ -75,6 +75,8 @@ StringCorpus GenerateStringCorpus(const StringCorpusOptions& options) {
     }
   }
 
+  const ZipfTable word_frequency(static_cast<int64_t>(vocab.size()),
+                                 options.zipf_s);
   StringCorpus corpus;
   corpus.left.resize(static_cast<size_t>(options.num_left));
   corpus.right.resize(static_cast<size_t>(options.num_right));
@@ -84,7 +86,8 @@ StringCorpus GenerateStringCorpus(const StringCorpusOptions& options) {
   // 1 + num_left + j = right j.
   for (int64_t i = 0; i < options.num_left; ++i) {
     Rng rng(options.seed, static_cast<uint64_t>(1 + i));
-    corpus.left[static_cast<size_t>(i)] = MakeRecord(vocab, options, rng);
+    corpus.left[static_cast<size_t>(i)] =
+        MakeRecord(vocab, word_frequency, options, rng);
   }
   for (int64_t j = 0; j < options.num_right; ++j) {
     Rng rng(options.seed, static_cast<uint64_t>(1 + options.num_left + j));
@@ -93,7 +96,8 @@ StringCorpus GenerateStringCorpus(const StringCorpusOptions& options) {
           rng.UniformInt(0, options.num_left - 1))];
       corpus.right[static_cast<size_t>(j)] = PerturbRecord(base, rng);
     } else {
-      corpus.right[static_cast<size_t>(j)] = MakeRecord(vocab, options, rng);
+      corpus.right[static_cast<size_t>(j)] =
+          MakeRecord(vocab, word_frequency, options, rng);
     }
   }
   return corpus;

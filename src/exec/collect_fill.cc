@@ -70,11 +70,12 @@ CollectResult RunCollect(const CollectUniverse& universe,
   };
 
   constexpr size_t kWaveSize = 50;
+  const ZipfTable popularity(n, universe.zipf_exponent);
   while (result.distinct_collected < target &&
          result.questions_asked < options.max_questions) {
     ++result.questions_asked;
     // The worker thinks of an entity, popularity-skewed.
-    int64_t entity = rng.Zipf(n, universe.zipf_exponent);
+    int64_t entity = popularity.Draw(rng);
     if (options.autocomplete && seen[entity] &&
         rng.Bernoulli(options.avoid_duplicate_prob)) {
       // Autocompletion shows the value is already collected; the worker

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <limits>
+#include <set>
 #include <tuple>
 #include <utility>
 
@@ -104,7 +105,7 @@ QuerySession::QuerySession(const ResolvedQuery* query,
     : query_(query),
       options_(options),
       truth_(std::move(truth)),
-      assigner_(&posteriors_, &worker_quality_, /*num_choices=*/2),
+      assigner_(&posteriors_, &worker_quality_),
       budget_(options.budget) {
   // Observability propagates downward: the owned platform/markets mirror
   // into the same registry and tracer the session was handed.
@@ -142,12 +143,9 @@ QuerySession::QuerySession(const ResolvedQuery* query,
   }
   policy_ = assigner_.AsPolicy();
   observer_ = [this](const Answer& answer) {
-    auto it = posteriors_.find(answer.task);
-    if (it == posteriors_.end()) return;
-    double q = 0.7;
-    auto wq = worker_quality_.find(answer.worker);
-    if (wq != worker_quality_.end()) q = wq->second;
-    it->second = PosteriorAfterAnswer(it->second, q, answer.choice);
+    posteriors_.Observe(answer.task,
+                        worker_quality_.QualityOr(answer.worker, 0.7),
+                        answer.choice);
   };
   if (publisher != nullptr) {
     publisher_ = publisher;
@@ -254,6 +252,7 @@ Result<bool> QuerySession::StepBuildGraph() {
   edge_provenance_.assign(static_cast<size_t>(graph_.num_edges()),
                           static_cast<uint8_t>(EdgeProvenance::kNone));
   if (options_.propagation.enabled) deduction_.emplace(&graph_);
+  ResetAnswerState();
 
   // Golden warm-up (Appendix E): estimate worker qualities from known-truth
   // tasks before any query task is assigned.
@@ -280,7 +279,8 @@ Result<bool> QuerySession::StepBuildGraph() {
       golden_observations.push_back(
           ChoiceObservation{answer.task, answer.worker, answer.choice});
     }
-    worker_quality_ = QualityFromGoldenTasks(golden_observations, golden_truths);
+    worker_quality_ = WorkerQualities(
+        QualityFromGoldenTasks(golden_observations, golden_truths));
   }
 
   // Sampling order is computed once (the paper fixes the sample-derived order
@@ -365,7 +365,7 @@ Result<bool> QuerySession::StepBatchRound() {
   if (options_.quality_control) {
     for (const Task& task : round_tasks_) {
       double w = graph_.edge(static_cast<EdgeId>(task.payload)).weight;
-      posteriors_[task.id] = {w, 1.0 - w};  // Similarity as the prior.
+      posteriors_.Set(task.id, w, 1.0 - w);  // Similarity as the prior.
     }
   }
   phase_ = SessionPhase::kPublish;
@@ -425,9 +425,7 @@ Result<bool> QuerySession::StepCollect() {
       (void)publisher_->TakeDeadLetters();  // Shortfall recomputed below.
       std::vector<Task> reposts;
       for (const Task& task : round_tasks_) {
-        auto it = stats.unique_answers_per_task.find(task.id);
-        int64_t have = it == stats.unique_answers_per_task.end() ? 0
-                                                                 : it->second;
+        int64_t have = answer_index_.AnswerCount(task.id);
         if (have >= effective_redundancy) continue;
         Task repost = task;
         repost.redundancy_override =
@@ -457,10 +455,7 @@ Result<bool> QuerySession::StepCollect() {
       Absorb(more);
     }
     for (const Task& task : round_tasks_) {
-      auto it = stats.unique_answers_per_task.find(task.id);
-      int64_t have = it == stats.unique_answers_per_task.end() ? 0
-                                                               : it->second;
-      if (have < effective_redundancy) {
+      if (answer_index_.AnswerCount(task.id) < effective_redundancy) {
         stats.starved_task_ids.push_back(task.id);
         Bump(metrics_.starved_tasks);
       }
@@ -471,7 +466,14 @@ Result<bool> QuerySession::StepCollect() {
 }
 
 Result<bool> QuerySession::StepInfer() {
-  inference_ = InferAll();
+  if (options_.quality_control) {
+    inference_ = InferAll();
+  } else {
+    // Majority voting is per-task and memoryless: only the tasks answered
+    // since the last inference can have changed.
+    ExtendMajority(&inference_, inferred_upto_);
+    inferred_upto_ = answer_index_.log().size();
+  }
   phase_ = SessionPhase::kColor;
   return true;
 }
@@ -482,7 +484,7 @@ Result<bool> QuerySession::StepColor() {
   // domains fold in before anything is deduced from them.
   std::vector<EdgeId> answerless;
   for (EdgeId e : round_edges_) {
-    int truth_choice = inference_.Truth(e);
+    int truth_choice = inference_.Truth(answer_index_.TaskSlot(e));
     if (propagate && truth_choice < 0) {
       answerless.push_back(e);
       continue;
@@ -577,6 +579,7 @@ Result<bool> QuerySession::Finish() {
     }
   }
   ExecutionStats& stats = result_.stats;
+  stats.unique_answers_per_task = UniqueAnswerCounts();
   std::sort(stats.starved_task_ids.begin(), stats.starved_task_ids.end());
   stats.starved_task_ids.erase(
       std::unique(stats.starved_task_ids.begin(), stats.starved_task_ids.end()),
@@ -594,34 +597,104 @@ Result<bool> QuerySession::Finish() {
   return false;
 }
 
+void QuerySession::ResetAnswerState() {
+  answer_index_.Reset(graph_.num_edges(),
+                      options_.quality_control ? options_.golden_tasks : 0);
+  if (options_.quality_control) {
+    posteriors_.Reset(static_cast<size_t>(graph_.num_edges()));
+  }
+}
+
 int64_t QuerySession::Absorb(const std::vector<Answer>& batch) {
   int64_t added = 0;
   for (const Answer& answer : batch) {
-    if (!seen_observations_.insert({answer.task, answer.worker}).second) {
-      continue;
-    }
-    all_observations_.push_back(
-        ChoiceObservation{answer.task, answer.worker, answer.choice});
-    ++result_.stats.unique_answers_per_task[answer.task];
+    ChoiceObservation observation{answer.task, answer.worker, answer.choice};
+    if (!answer_index_.Add(observation)) continue;
+    all_observations_.push_back(observation);
     ++added;
   }
   return added;
 }
 
-InferenceResult QuerySession::InferAll() {
-  InferenceResult inference;
-  if (options_.quality_control) {
-    EmOptions em;
-    em.num_choices = 2;
-    em.quality_priors = worker_quality_;
-    em.num_threads = options_.num_threads;
-    em.metrics = options_.metrics;
-    inference = InferSingleChoiceEm(all_observations_, em);
-    worker_quality_ = inference.worker_quality;
-  } else {
-    inference = InferSingleChoiceMajority(all_observations_, 2);
+int QuerySession::SlotInference::Truth(int32_t slot) const {
+  if (slot < 0 || static_cast<size_t>(slot) >= known.size() ||
+      known[static_cast<size_t>(slot)] == 0) {
+    return -1;
   }
+  const double* p =
+      posteriors.data() + static_cast<size_t>(slot) * AnswerIndex::kChoices;
+  return p[1] > p[0] ? 1 : 0;
+}
+
+QuerySession::SlotInference QuerySession::InferAll() {
+  SlotInference inference;
+  if (!options_.quality_control) {
+    ExtendMajority(&inference, 0);
+    return inference;
+  }
+  // EM over the whole log: observed workers start from their carried quality
+  // (golden warm-up or the previous run), the rest from the default prior,
+  // and only observed workers keep a quality afterwards.
+  EmOptions em;
+  em.num_choices = AnswerIndex::kChoices;
+  em.num_threads = options_.num_threads;
+  em.metrics = options_.metrics;
+  WorkerQualities carried;
+  std::swap(carried, worker_quality_);
+  if (all_observations_.empty()) return inference;
+  std::vector<double> prior(static_cast<size_t>(answer_index_.num_workers()));
+  for (int32_t w = 0; w < answer_index_.num_workers(); ++w) {
+    prior[static_cast<size_t>(w)] =
+        carried.QualityOr(answer_index_.worker_id(w), em.initial_quality);
+  }
+  EmSolution solution;
+  SolveEm(answer_index_.log(), answer_index_.num_tasks(), prior, em, &solution);
+  answer_index_.ForEachWorkerById([&](int worker, int32_t slot) {
+    worker_quality_.Set(worker, solution.quality[static_cast<size_t>(slot)]);
+  });
+  inference.known.assign(solution.posteriors.size() / AnswerIndex::kChoices, 1);
+  inference.posteriors = std::move(solution.posteriors);
+  inference.worker_quality = worker_quality_;
   return inference;
+}
+
+void QuerySession::ExtendMajority(SlotInference* inference, size_t from) const {
+  const size_t tasks = static_cast<size_t>(answer_index_.num_tasks());
+  inference->posteriors.resize(tasks * AnswerIndex::kChoices);
+  inference->known.resize(tasks, 0);
+  const std::vector<IndexedObservation>& log = answer_index_.log();
+  for (size_t k = from; k < log.size(); ++k) {
+    const size_t slot = static_cast<size_t>(log[k].task);
+    MajorityPosterior(
+        answer_index_.votes(log[k].task), AnswerIndex::kChoices,
+        inference->posteriors.data() + slot * AnswerIndex::kChoices);
+    inference->known[slot] = 1;
+    // Not modeled by majority voting.
+    inference->worker_quality.Set(answer_index_.worker_id(log[k].worker), 0.5);
+  }
+}
+
+std::map<int64_t, int64_t> QuerySession::UniqueAnswerCounts() const {
+  std::map<int64_t, int64_t> counts;
+  answer_index_.ForEachTaskById([&](TaskId task, int32_t slot) {
+    const int32_t* votes = answer_index_.votes(slot);
+    counts.emplace_hint(counts.end(), task, int64_t{votes[0]} + votes[1]);
+  });
+  return counts;
+}
+
+InferenceResult QuerySession::last_inference() const {
+  InferenceResult result;
+  answer_index_.ForEachTaskById([&](TaskId task, int32_t slot) {
+    if (inference_.Truth(slot) < 0) return;
+    const double* p = inference_.posteriors.data() +
+                      static_cast<size_t>(slot) * AnswerIndex::kChoices;
+    result.posteriors.emplace_hint(
+        result.posteriors.end(), task,
+        std::vector<double>(p, p + AnswerIndex::kChoices));
+  });
+  result.worker_quality = inference_.worker_quality.ToMap();
+  return result;
 }
 
 void QuerySession::ReconcileLate() {
@@ -636,7 +709,7 @@ void QuerySession::ReconcileLate() {
   Counters().answers += static_cast<int64_t>(late.size());
   answers_received_ += static_cast<int64_t>(late.size());
   if (Absorb(late) == 0) return;
-  InferenceResult inference = InferAll();
+  SlotInference inference = InferAll();
   bool flipped = false;
   for (EdgeId e = 0; e < graph_.num_edges(); ++e) {
     const GraphEdge& edge = graph_.edge(e);
@@ -647,7 +720,7 @@ void QuerySession::ReconcileLate() {
     // desync. Non-crowd edges are colored from birth and carry no crowd
     // evidence to reconcile.
     if (!edge.is_crowd || edge.color == EdgeColor::kUnknown) continue;
-    int truth_choice = inference.Truth(e);
+    int truth_choice = inference.Truth(answer_index_.TaskSlot(e));
     if (truth_choice < 0) continue;
     EdgeColor want = truth_choice == 0 ? EdgeColor::kBlue : EdgeColor::kRed;
     // Crowd evidence arrived for a color that had none: the deduced (or

@@ -33,7 +33,6 @@
 #include <map>
 #include <memory>
 #include <optional>
-#include <set>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -49,6 +48,7 @@
 #include "graph/pruning.h"
 #include "graph/query_graph.h"
 #include "latency/scheduler.h"
+#include "quality/answer_index.h"
 #include "quality/task_assignment.h"
 #include "quality/truth_inference.h"
 
@@ -184,7 +184,8 @@ struct ExecutionStats {
   // answers-per-task invariant.
   std::vector<int64_t> starved_task_ids;
   // Unique (task, worker) observations per published task id; lets tests
-  // relate result quality to the evidence inference actually saw.
+  // relate result quality to the evidence inference actually saw. Filled
+  // when the session finishes (the live counts are per-task tallies).
   std::map<int64_t, int64_t> unique_answers_per_task;
   // Per-phase step/task/answer counters, indexed by SessionPhase.
   std::array<PhaseCounters, kNumSessionPhases> phases{};
@@ -345,6 +346,17 @@ class QuerySession {
   const QueryGraph& graph() const { return graph_; }
   const ExecutionStats& stats() const { return result_.stats; }
 
+  // Read-only views of the answer path (tests and tools): the unique
+  // observations in arrival order, the worker qualities carried into the
+  // next EM run, and the last Infer phase's result keyed by task / worker id.
+  const std::vector<ChoiceObservation>& observations() const {
+    return all_observations_;
+  }
+  std::map<int, double> worker_qualities() const {
+    return worker_quality_.ToMap();
+  }
+  InferenceResult last_inference() const;
+
   // --- Durable snapshot/resume (the service-layer checkpoint format) ---
   //
   // Snapshot() serializes every byte of cross-step session state — phase,
@@ -392,12 +404,33 @@ class QuerySession {
   // Terminal transition: final late-answer reconciliation + result assembly.
   Result<bool> Finish();
 
+  // The last Infer phase's result, by answer_index_ task slot.
+  struct SlotInference {
+    std::vector<double> posteriors;  // AnswerIndex::kChoices per slot.
+    std::vector<uint8_t> known;      // Per slot: 1 once inferred.
+    WorkerQualities worker_quality;
+    // argmax choice (ties to the lowest index); -1 if `slot` is not inferred.
+    int Truth(int32_t slot) const;
+  };
+
+  // Sizes the answer index (edge tasks plus golden warm-up ids) and, under
+  // CDB+, the live posteriors for the built graph.
+  void ResetAnswerState();
   // Unique-(task, worker) guard: the fault layer can deliver duplicate and
   // late copies of an answer, and requester reposts can reach workers that
-  // already answered; inference must see each observation once. Returns the
-  // number of observations actually added.
+  // already answered; inference must see each observation once. Answers
+  // whose choice is not yes/no, or whose task is neither a graph edge nor a
+  // golden warm-up task, carry no usable vote and are dropped too. Returns
+  // the number of observations actually added.
   int64_t Absorb(const std::vector<Answer>& batch);
-  InferenceResult InferAll();
+  // Truth inference over every observation so far. CDB+ runs EM from the
+  // carried worker qualities and replaces them with the result.
+  SlotInference InferAll();
+  // Majority inference, incrementally: re-reads the tally of every task
+  // answered at log position `from` or later.
+  void ExtendMajority(SlotInference* inference, size_t from) const;
+  // Unique observations per task id (ExecutionStats::unique_answers_per_task).
+  std::map<int64_t, int64_t> UniqueAnswerCounts() const;
   void ReconcileLate();
   // Answer propagation (all no-ops unless options_.propagation.enabled):
   // colors every unknown crowd edge the deduction domains imply (one
@@ -470,11 +503,16 @@ class QuerySession {
   TaskPublisher* publisher_ = nullptr;
   bool external_publish_ = false;
 
-  // Quality-control state (CDB+): accumulated observations, EM worker
-  // qualities carried across rounds, and live posteriors for the assigner.
+  // Answer state: every unique observation in arrival order, the worker
+  // qualities carried across rounds (golden warm-up, then EM), and the live
+  // posteriors the assigner scores (CDB+; dense by edge id).
   std::vector<ChoiceObservation> all_observations_;
-  std::map<int, double> worker_quality_;
-  std::map<TaskId, std::vector<double>> posteriors_;
+  WorkerQualities worker_quality_;
+  BinaryPosteriors posteriors_;
+  // cdb-snapshot: transient(index over all_observations_ -- task and worker
+  // slots, vote tallies, dedup chains; Restore() re-adds the restored log in
+  // order, which rebuilds it exactly)
+  AnswerIndex answer_index_;
   // cdb-snapshot: transient(pure view over posteriors_/worker_quality_)
   EntropyAssigner assigner_;
   // cdb-snapshot: transient(stateless callback rebuilt in the constructor)
@@ -482,7 +520,6 @@ class QuerySession {
   // cdb-snapshot: transient(stateless callback rebuilt in the constructor)
   AnswerObserver observer_;
 
-  std::set<std::pair<TaskId, int>> seen_observations_;
   std::vector<EdgeId> sampling_order_;
   BudgetLedger budget_;
 
@@ -490,7 +527,11 @@ class QuerySession {
   std::vector<EdgeId> ordered_;      // SelectTasks -> BatchRound.
   std::vector<EdgeId> round_edges_;  // BatchRound -> Color.
   std::vector<Task> round_tasks_;    // BatchRound -> Publish/Collect.
-  InferenceResult inference_;        // Infer -> Color.
+  SlotInference inference_;          // Infer -> Color.
+  // cdb-snapshot: transient(log position majority inference has read up to;
+  // 0 after Restore(), so the next Infer re-reads every tally, which yields
+  // the same posteriors)
+  size_t inferred_upto_ = 0;
   int64_t answers_received_ = 0;     // Deliveries incl. fan-out, pre-dedup.
   ExecutionResult result_;
 };

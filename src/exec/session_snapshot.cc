@@ -26,6 +26,8 @@
 // MetricsDump, PlatformStatsDump) is asserted by the crash-point sweep in
 // tests/service_test.cc.
 #include <algorithm>
+#include <array>
+#include <map>
 #include <string>
 #include <utility>
 #include <vector>
@@ -93,30 +95,34 @@ Status GetObservations(ByteReader& reader,
   return Status::Ok();
 }
 
-void PutWorkerQuality(ByteWriter& writer, const std::map<int, double>& wq) {
+void PutWorkerQuality(ByteWriter& writer, const WorkerQualities& wq) {
   writer.PutU32(static_cast<uint32_t>(wq.size()));
-  for (const auto& [worker, quality] : wq) {
+  for (const auto& [worker, quality] : wq.entries()) {
     writer.PutI32(worker);
     writer.PutDouble(quality);
   }
 }
 
-Status GetWorkerQuality(ByteReader& reader, std::map<int, double>* wq) {
+Status GetWorkerQuality(ByteReader& reader, WorkerQualities* wq) {
   uint32_t n = 0;
   CDB_RETURN_IF_ERROR(reader.GetU32(&n));
-  wq->clear();
+  wq->Clear();
   for (uint32_t i = 0; i < n; ++i) {
     int32_t worker = 0;
     double quality = 0.0;
     CDB_RETURN_IF_ERROR(reader.GetI32(&worker));
     CDB_RETURN_IF_ERROR(reader.GetDouble(&quality));
-    (*wq)[worker] = quality;
+    wq->Set(worker, quality);
   }
   return Status::Ok();
 }
 
-void PutPosteriors(ByteWriter& writer,
-                   const std::map<TaskId, std::vector<double>>& posteriors) {
+// A posterior section: (task id, yes/no distribution) pairs in ascending
+// task id order. The format carries a length per distribution; every
+// distribution the session keeps has two, so any other length is corrupt.
+using PosteriorList = std::vector<std::pair<TaskId, std::array<double, 2>>>;
+
+void PutPosteriors(ByteWriter& writer, const PosteriorList& posteriors) {
   writer.PutU32(static_cast<uint32_t>(posteriors.size()));
   for (const auto& [task, dist] : posteriors) {
     writer.PutI64(task);
@@ -125,8 +131,7 @@ void PutPosteriors(ByteWriter& writer,
   }
 }
 
-Status GetPosteriors(ByteReader& reader,
-                     std::map<TaskId, std::vector<double>>* posteriors) {
+Status GetPosteriors(ByteReader& reader, PosteriorList* posteriors) {
   uint32_t n = 0;
   CDB_RETURN_IF_ERROR(reader.GetU32(&n));
   posteriors->clear();
@@ -135,11 +140,14 @@ Status GetPosteriors(ByteReader& reader,
     uint32_t len = 0;
     CDB_RETURN_IF_ERROR(reader.GetI64(&task));
     CDB_RETURN_IF_ERROR(reader.GetU32(&len));
-    std::vector<double> dist(len);
-    for (uint32_t j = 0; j < len; ++j) {
-      CDB_RETURN_IF_ERROR(reader.GetDouble(&dist[j]));
+    if (len != 2) {
+      return Status::DataLoss("session snapshot: posterior of task " +
+                              std::to_string(task) + " has " +
+                              std::to_string(len) + " choices, not 2");
     }
-    (*posteriors)[task] = std::move(dist);
+    std::array<double, 2> dist{};
+    for (double& p : dist) CDB_RETURN_IF_ERROR(reader.GetDouble(&p));
+    posteriors->emplace_back(task, dist);
   }
   return Status::Ok();
 }
@@ -177,7 +185,8 @@ Status GetTask(ByteReader& reader, Task* task) {
   return Status::Ok();
 }
 
-void PutStats(ByteWriter& writer, const ExecutionStats& stats) {
+void PutStats(ByteWriter& writer, const ExecutionStats& stats,
+              const std::map<int64_t, int64_t>& unique_answers_per_task) {
   writer.PutI64(stats.tasks_asked);
   writer.PutI64(stats.rounds);
   writer.PutI64(stats.worker_answers);
@@ -193,8 +202,8 @@ void PutStats(ByteWriter& writer, const ExecutionStats& stats) {
   writer.PutI64(stats.recolored_edges);
   writer.PutI64(stats.fallback_colored);
   PutInt64List(writer, stats.starved_task_ids);
-  writer.PutU32(static_cast<uint32_t>(stats.unique_answers_per_task.size()));
-  for (const auto& [task, n] : stats.unique_answers_per_task) {
+  writer.PutU32(static_cast<uint32_t>(unique_answers_per_task.size()));
+  for (const auto& [task, n] : unique_answers_per_task) {
     writer.PutI64(task);
     writer.PutI64(n);
   }
@@ -271,13 +280,29 @@ std::string QuerySession::Snapshot() const {
   PutEdgeList(writer, sampling_order_);
   PutObservations(writer, all_observations_);
   PutWorkerQuality(writer, worker_quality_);
-  PutPosteriors(writer, posteriors_);
+  PosteriorList live;
+  for (size_t task = 0; task < posteriors_.size(); ++task) {
+    const BinaryPosteriors::Entry* entry =
+        posteriors_.Find(static_cast<TaskId>(task));
+    if (entry != nullptr) {
+      live.emplace_back(static_cast<TaskId>(task),
+                        std::array<double, 2>{entry->p_yes, entry->p_no});
+    }
+  }
+  PutPosteriors(writer, live);
   writer.PutI64(budget_.spent());
   PutEdgeList(writer, ordered_);
   PutEdgeList(writer, round_edges_);
   writer.PutU32(static_cast<uint32_t>(round_tasks_.size()));
   for (const Task& task : round_tasks_) PutTask(writer, task);
-  PutPosteriors(writer, inference_.posteriors);
+  PosteriorList inferred;
+  answer_index_.ForEachTaskById([&](TaskId task, int32_t slot) {
+    if (inference_.Truth(slot) < 0) return;
+    const double* p =
+        inference_.posteriors.data() + static_cast<size_t>(slot) * 2;
+    inferred.emplace_back(task, std::array<double, 2>{p[0], p[1]});
+  });
+  PutPosteriors(writer, inferred);
   PutWorkerQuality(writer, inference_.worker_quality);
   writer.PutI64(answers_received_);
 
@@ -285,7 +310,7 @@ std::string QuerySession::Snapshot() const {
   for (const QueryAnswer& answer : result_.answers) {
     PutInt64List(writer, answer.rows);
   }
-  PutStats(writer, result_.stats);
+  PutStats(writer, result_.stats, UniqueAnswerCounts());
 
   // Standalone sessions own their platform; its rng/clock/lease state rides
   // in the same blob. Scheduler-mode sessions publish through a shared
@@ -386,6 +411,7 @@ Status QuerySession::Restore(std::string_view blob) {
     }
     pruner_.emplace(&graph_);
     pruner_->Recompute();
+    ResetAnswerState();
     // The deduction domains are transient: re-observing the crowd-evidenced
     // colors in ascending edge order rebuilds the same partition and fact
     // set the snapshotted session held (both are order-independent in the
@@ -410,9 +436,30 @@ Status QuerySession::Restore(std::string_view blob) {
   }
 
   CDB_RETURN_IF_ERROR(GetEdgeList(reader, &sampling_order_));
-  CDB_RETURN_IF_ERROR(GetObservations(reader, &all_observations_));
+  // The answer index is derived state: re-adding the log in order rebuilds
+  // the same slots, tallies and dedup chains the snapshotted session held.
+  std::vector<ChoiceObservation> observations;
+  CDB_RETURN_IF_ERROR(GetObservations(reader, &observations));
+  for (const ChoiceObservation& o : observations) {
+    if (!answer_index_.Add(o)) {
+      return Status::DataLoss(
+          "session snapshot: observation of task " + std::to_string(o.task) +
+          " by worker " + std::to_string(o.worker) +
+          " is a duplicate or outside this session's tasks and choices");
+    }
+    all_observations_.push_back(o);
+  }
   CDB_RETURN_IF_ERROR(GetWorkerQuality(reader, &worker_quality_));
-  CDB_RETURN_IF_ERROR(GetPosteriors(reader, &posteriors_));
+  PosteriorList posteriors;
+  CDB_RETURN_IF_ERROR(GetPosteriors(reader, &posteriors));
+  for (const auto& [task, dist] : posteriors) {
+    if (task < 0 || static_cast<size_t>(task) >= posteriors_.size()) {
+      return Status::DataLoss("session snapshot: live posterior for task " +
+                              std::to_string(task) +
+                              " outside this session's edge tasks");
+    }
+    posteriors_.Set(task, dist[0], dist[1]);
+  }
   int64_t budget_spent = 0;
   CDB_RETURN_IF_ERROR(reader.GetI64(&budget_spent));
   if (budget_spent < 0) {
@@ -432,7 +479,20 @@ Status QuerySession::Restore(std::string_view blob) {
   for (uint32_t i = 0; i < num_tasks; ++i) {
     CDB_RETURN_IF_ERROR(GetTask(reader, &round_tasks_[i]));
   }
-  CDB_RETURN_IF_ERROR(GetPosteriors(reader, &inference_.posteriors));
+  CDB_RETURN_IF_ERROR(GetPosteriors(reader, &posteriors));
+  const size_t tasks = static_cast<size_t>(answer_index_.num_tasks());
+  inference_.posteriors.assign(tasks * 2, 0.0);
+  inference_.known.assign(tasks, 0);
+  for (const auto& [task, dist] : posteriors) {
+    int32_t slot = answer_index_.TaskSlot(task);
+    if (slot < 0) {
+      return Status::DataLoss("session snapshot: inferred posterior for task " +
+                              std::to_string(task) + " without observations");
+    }
+    inference_.posteriors[static_cast<size_t>(slot) * 2] = dist[0];
+    inference_.posteriors[static_cast<size_t>(slot) * 2 + 1] = dist[1];
+    inference_.known[static_cast<size_t>(slot)] = 1;
+  }
   CDB_RETURN_IF_ERROR(GetWorkerQuality(reader, &inference_.worker_quality));
   CDB_RETURN_IF_ERROR(reader.GetI64(&answers_received_));
 
@@ -458,11 +518,6 @@ Status QuerySession::Restore(std::string_view blob) {
     return Status::DataLoss("session snapshot has trailing bytes");
   }
 
-  // Derived state: the dedup guard is a pure index over the observation log.
-  seen_observations_.clear();
-  for (const ChoiceObservation& o : all_observations_) {
-    seen_observations_.insert({o.task, o.worker});
-  }
   // publisher_ already points at owned_publisher_ (standalone) or the
   // scheduler's channel (external); only the phase advances.
   phase_ = static_cast<SessionPhase>(phase_byte);

@@ -70,21 +70,91 @@ double CompletenessScore(int64_t distinct_collected, int64_t estimated_total) {
   return std::clamp(score, 0.0, 1.0);
 }
 
+double BinaryEntropy(double p_yes, double p_no) {
+  double h = 0.0;
+  if (p_yes > 0.0) h -= p_yes * std::log(p_yes);
+  if (p_no > 0.0) h -= p_no * std::log(p_no);
+  return h;
+}
+
+namespace {
+
+// PosteriorAfterAnswer({p_yes, p_no}, q, answer) for an already-clamped q;
+// `wrong` is the two-choice wrong-answer likelihood 1 - q.
+inline void BinaryBayesUpdate(double p_yes, double p_no, double q, double wrong,
+                              int answer, double* post_yes, double* post_no) {
+  double yes = p_yes * (answer == 0 ? q : wrong);
+  double no = p_no * (answer == 1 ? q : wrong);
+  double norm = 0.0;
+  norm += yes;
+  norm += no;
+  if (norm <= 0.0) {
+    *post_yes = p_yes;
+    *post_no = p_no;
+    return;
+  }
+  *post_yes = yes / norm;
+  *post_no = no / norm;
+}
+
+}  // namespace
+
+double BinaryExpectedQualityImprovement(double p_yes, double p_no,
+                                        double prior_entropy,
+                                        double worker_quality) {
+  const double q = std::clamp(worker_quality, 1e-3, 1.0 - 1e-3);
+  // (1 - q) / (num_choices - 1); the division by 1 is exact.
+  const double wrong = 1.0 - q;
+  const double prior[2] = {p_yes, p_no};
+  double expected_entropy = 0.0;
+  for (int i = 0; i < 2; ++i) {
+    double p_answer = prior[i] * q + (1.0 - prior[i]) * wrong;
+    if (p_answer <= 0.0) continue;
+    double post_yes = 0.0;
+    double post_no = 0.0;
+    BinaryBayesUpdate(p_yes, p_no, q, wrong, i, &post_yes, &post_no);
+    expected_entropy += p_answer * BinaryEntropy(post_yes, post_no);
+  }
+  return prior_entropy - expected_entropy;
+}
+
+void BinaryPosteriors::Reset(size_t num_tasks) {
+  entries_.assign(num_tasks, Entry{});
+}
+
+void BinaryPosteriors::Set(TaskId task, double p_yes, double p_no) {
+  CDB_CHECK(task >= 0 && static_cast<size_t>(task) < entries_.size());
+  Entry& entry = entries_[static_cast<size_t>(task)];
+  entry.p_yes = p_yes;
+  entry.p_no = p_no;
+  entry.entropy = BinaryEntropy(p_yes, p_no);
+  entry.known = true;
+}
+
+void BinaryPosteriors::Observe(TaskId task, double worker_quality, int answer) {
+  if (answer < 0 || answer > 1 || Find(task) == nullptr) return;
+  Entry& entry = entries_[static_cast<size_t>(task)];
+  const double q = std::clamp(worker_quality, 1e-3, 1.0 - 1e-3);
+  BinaryBayesUpdate(entry.p_yes, entry.p_no, q, 1.0 - q, answer, &entry.p_yes,
+                    &entry.p_no);
+  entry.entropy = BinaryEntropy(entry.p_yes, entry.p_no);
+}
+
 std::vector<size_t> EntropyAssigner::operator()(
     const SimulatedWorker& worker, const std::vector<TaskId>& available,
     int count) const {
-  double q = default_quality_;
-  auto wq = worker_quality_->find(worker.id());
-  if (wq != worker_quality_->end()) q = wq->second;
-
+  const double q = worker_quality_->QualityOr(worker.id(), default_quality_);
+  const double uniform_score =
+      BinaryExpectedQualityImprovement(0.5, 0.5, BinaryEntropy(0.5, 0.5), q);
   std::vector<std::pair<double, size_t>> scored;
   scored.reserve(available.size());
-  std::vector<double> uniform(num_choices_, 1.0 / num_choices_);
   for (size_t i = 0; i < available.size(); ++i) {
-    auto it = posteriors_->find(available[i]);
-    const std::vector<double>& prior =
-        it != posteriors_->end() && !it->second.empty() ? it->second : uniform;
-    scored.emplace_back(ExpectedQualityImprovement(prior, q), i);
+    const BinaryPosteriors::Entry* prior = posteriors_->Find(available[i]);
+    scored.emplace_back(
+        prior != nullptr ? BinaryExpectedQualityImprovement(
+                               prior->p_yes, prior->p_no, prior->entropy, q)
+                         : uniform_score,
+        i);
   }
   size_t k = std::min<size_t>(static_cast<size_t>(count), scored.size());
   std::partial_sort(scored.begin(), scored.begin() + static_cast<int64_t>(k),

@@ -12,6 +12,7 @@
 #include <cstdint>
 #include <map>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "crowd/task.h"
@@ -66,16 +67,85 @@ struct EmOptions {
 };
 
 // Expectation-Maximization over worker qualities + Bayesian voting truths.
+// Observations whose choice lies outside [0, num_choices) carry no vote and
+// are ignored.
 InferenceResult InferSingleChoiceEm(const std::vector<ChoiceObservation>& obs,
                                     const EmOptions& options);
 
 // Majority voting (the baseline): posterior mass split by vote counts,
-// worker quality not modeled.
+// worker quality not modeled. Out-of-range choices are ignored, so a task
+// appears only once it has at least one counted vote.
 InferenceResult InferSingleChoiceMajority(
     const std::vector<ChoiceObservation>& obs, int num_choices);
 
-// Eq. 2 applied directly with known worker qualities; exposed for tests and
-// used inside EM's E-step.
+// --- The flat kernels behind both entry points ---------------------------
+//
+// One observation with its task and worker already mapped onto dense
+// indexes [0, num_tasks) and [0, num_workers); `choice` lies in
+// [0, num_choices).
+struct IndexedObservation {
+  int32_t task = -1;
+  int32_t worker = -1;
+  int32_t choice = -1;
+};
+
+// SolveEm's output, indexed like its input.
+struct EmSolution {
+  // Task t's posterior over choices at [t * num_choices, (t+1) * num_choices);
+  // empty when no E-step ran (max_iterations <= 0).
+  std::vector<double> posteriors;
+  std::vector<double> quality;  // Per worker.
+};
+
+// EM over a flat observation log. `prior[w]` is worker w's incoming quality
+// and the center of its Beta prior (options.quality_priors and
+// options.initial_quality are not read; the caller resolved them into
+// `prior`); every worker must have at least one observation. The kernel
+// regroups the log into CSR rows by task and by worker, each row in log
+// order, so Eq. 2's log sums and the M-step's expected-correct sums fold in
+// exactly the order of the original per-task / per-worker lists; a worker's
+// log(q) and log(wrong) are computed once per iteration. The E- and M-steps
+// allocate nothing.
+void SolveEm(const std::vector<IndexedObservation>& obs, int num_tasks,
+             const std::vector<double>& prior, const EmOptions& options,
+             EmSolution* solution);
+
+// Majority posterior of one task from its vote counts: the mass split by
+// count (all zero when nothing was counted).
+void MajorityPosterior(const int32_t* votes, int num_choices,
+                       double* posterior);
+
+// Worker id -> quality, kept as a vector sorted by worker id: a lookup is a
+// binary search that allocates nothing, and iteration runs in ascending id
+// order (the order snapshots and InferenceResult list workers in).
+class WorkerQualities {
+ public:
+  WorkerQualities() = default;
+  explicit WorkerQualities(const std::map<int, double>& qualities);
+
+  // The worker's quality, or null when it has none.
+  const double* Find(int worker) const;
+  double QualityOr(int worker, double fallback) const {
+    const double* q = Find(worker);
+    return q != nullptr ? *q : fallback;
+  }
+  // Inserts or overwrites.
+  void Set(int worker, double quality);
+  void Clear() { entries_.clear(); }
+
+  size_t size() const { return entries_.size(); }
+  // (worker id, quality) in ascending id order.
+  const std::vector<std::pair<int, double>>& entries() const {
+    return entries_;
+  }
+  std::map<int, double> ToMap() const;
+
+ private:
+  std::vector<std::pair<int, double>> entries_;
+};
+
+// Eq. 2 applied directly with known worker qualities; used by
+// InferMultiChoice. SolveEm's E-step performs the same operations per task.
 std::vector<double> BayesianVote(const std::vector<std::pair<double, int>>&
                                      quality_and_choice,
                                  int num_choices);

@@ -3,6 +3,7 @@
 #include <cmath>
 #include <numeric>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "common/mutex.h"
@@ -136,10 +137,11 @@ TEST(RngTest, GaussianMoments) {
 
 TEST(RngTest, ZipfSkewsLow) {
   Rng rng(13);
+  const ZipfTable zipf(100, 1.0);
   int first_bucket = 0;
   const int n = 10000;
   for (int i = 0; i < n; ++i) {
-    int64_t v = rng.Zipf(100, 1.0);
+    int64_t v = zipf.Draw(rng);
     ASSERT_GE(v, 0);
     ASSERT_LT(v, 100);
     if (v == 0) ++first_bucket;
@@ -152,8 +154,38 @@ TEST(RngTest, ZipfSkewsLow) {
 TEST(RngTest, ZipfZeroExponentIsUniform) {
   Rng rng(17);
   std::vector<int> counts(10, 0);
-  for (int i = 0; i < 20000; ++i) ++counts[static_cast<size_t>(rng.Zipf(10, 0.0))];
+  const ZipfTable zipf(10, 0.0);
+  for (int i = 0; i < 20000; ++i) ++counts[static_cast<size_t>(zipf.Draw(rng))];
   for (int c : counts) EXPECT_NEAR(c, 2000, 300);
+}
+
+// The linear inverse-CDF scan Zipf draws used before ZipfTable: O(n)
+// std::pow calls per draw.
+int64_t LinearZipf(Rng& rng, int64_t n, double s) {
+  double norm = 0.0;
+  for (int64_t k = 1; k <= n; ++k) norm += 1.0 / std::pow(double(k), s);
+  double u = rng.Uniform() * norm;
+  double acc = 0.0;
+  for (int64_t k = 1; k <= n; ++k) {
+    acc += 1.0 / std::pow(double(k), s);
+    if (u <= acc) return k - 1;
+  }
+  return n - 1;
+}
+
+TEST(RngTest, ZipfTableDrawsEqualLinearScan) {
+  const std::vector<std::pair<int64_t, double>> shapes = {
+      {1, 1.0}, {2, 0.5}, {10, 1.0}, {100, 1.0}, {1000, 1.2}, {5000, 0.8},
+      {37, 3.0}, {250, 1e-6}};
+  for (const auto& [n, s] : shapes) {
+    const ZipfTable zipf(n, s);
+    Rng table_rng(101);
+    Rng linear_rng(101);
+    for (int i = 0; i < 10000; ++i) {
+      ASSERT_EQ(zipf.Draw(table_rng), LinearZipf(linear_rng, n, s))
+          << "n=" << n << " s=" << s << " draw " << i;
+    }
+  }
 }
 
 TEST(RngTest, ShufflePreservesElements) {

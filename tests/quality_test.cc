@@ -221,13 +221,13 @@ TEST(CompletenessScoreTest, Bounds) {
 // ----------------------------------------------------- EntropyAssigner ---
 
 TEST(EntropyAssignerTest, PicksMostUncertainTasks) {
-  std::map<TaskId, std::vector<double>> posteriors = {
-      {10, {0.99, 0.01}},
-      {11, {0.55, 0.45}},
-      {12, {0.80, 0.20}},
-  };
-  std::map<int, double> worker_quality = {{0, 0.9}};
-  EntropyAssigner assigner(&posteriors, &worker_quality, 2);
+  BinaryPosteriors posteriors;
+  posteriors.Reset(13);
+  posteriors.Set(10, 0.99, 0.01);
+  posteriors.Set(11, 0.55, 0.45);
+  posteriors.Set(12, 0.80, 0.20);
+  WorkerQualities worker_quality({{0, 0.9}});
+  EntropyAssigner assigner(&posteriors, &worker_quality);
   SimulatedWorker worker(0, 0.9);
   std::vector<size_t> picks = assigner(worker, {10, 11, 12}, 2);
   ASSERT_EQ(picks.size(), 2u);
@@ -236,9 +236,9 @@ TEST(EntropyAssignerTest, PicksMostUncertainTasks) {
 }
 
 TEST(EntropyAssignerTest, UnknownTasksGetUniformPrior) {
-  std::map<TaskId, std::vector<double>> posteriors;
-  std::map<int, double> worker_quality;
-  EntropyAssigner assigner(&posteriors, &worker_quality, 2);
+  BinaryPosteriors posteriors;
+  WorkerQualities worker_quality;
+  EntropyAssigner assigner(&posteriors, &worker_quality);
   SimulatedWorker worker(5, 0.8);
   std::vector<size_t> picks = assigner(worker, {1, 2, 3}, 5);
   EXPECT_EQ(picks.size(), 3u);  // Capped at available.
