@@ -45,19 +45,14 @@ ExecutorOptions SessionConfig(uint64_t seed) {
   return options;
 }
 
-// Weighted p99: each wave contributes its average per-session step latency,
-// weighted by how many sessions it stepped.
-int64_t P99StepMicros(std::vector<std::pair<double, int64_t>> samples) {
+// Nearest-rank p99 over every session step's own wall time (the service
+// times each step into its slot), so a slow step such as a graph build is
+// not averaged away by the cheap steps sharing its wave.
+int64_t P99StepMicros(std::vector<int64_t> samples) {
   if (samples.empty()) return 0;
   std::sort(samples.begin(), samples.end());
-  int64_t total = 0;
-  for (const auto& [micros, weight] : samples) total += weight;
-  int64_t seen = 0;
-  for (const auto& [micros, weight] : samples) {
-    seen += weight;
-    if (seen * 100 >= total * 99) return static_cast<int64_t>(micros);
-  }
-  return static_cast<int64_t>(samples.back().first);
+  const size_t rank = (samples.size() * 99 + 99) / 100;  // ceil(0.99 n)
+  return samples[rank - 1];
 }
 
 int Run(int argc, char** argv) {
@@ -120,19 +115,14 @@ int Run(int argc, char** argv) {
   }
 
   int64_t peak_live = 0;
-  std::vector<std::pair<double, int64_t>> wave_samples;
+  std::vector<int64_t> step_samples;
   while (service.HasWork()) {
-    WallTimer wave_timer;
     // `stepped` counts the sessions live during this wave — the concurrency
     // actually sustained, measured before completions retire.
     const int64_t stepped = service.StepWave();
     peak_live = std::max(peak_live, stepped);
-    if (stepped > 0) {
-      wave_samples.emplace_back(
-          static_cast<double>(wave_timer.ElapsedMicros()) /
-              static_cast<double>(stepped),
-          stepped);
-    }
+    const std::vector<int64_t>& steps = service.last_wave_step_micros();
+    step_samples.insert(step_samples.end(), steps.begin(), steps.end());
   }
   const double wall_ms =
       static_cast<double>(wall.ElapsedMicros()) / 1000.0;
@@ -141,7 +131,7 @@ int Run(int argc, char** argv) {
   const double sessions_per_sec =
       wall_ms > 0 ? 1000.0 * static_cast<double>(stats.completed) / wall_ms
                   : 0.0;
-  const int64_t p99 = P99StepMicros(std::move(wave_samples));
+  const int64_t p99 = P99StepMicros(std::move(step_samples));
 
   std::printf("bench_service: %lld submitted, %lld completed, %lld failed\n",
               static_cast<long long>(stats.submitted),

@@ -109,7 +109,8 @@ Result<ExecutionResult> BudgetBaselineExecutor::Run() {
     // Candidates come from the first back predicate's edges at the anchor.
     const PredicateInfo& info0 = graph_.predicate(back[0]);
     int anchor = info0.left_rel == rel ? info0.right_rel : info0.left_rel;
-    std::vector<EdgeId> frontier = graph_.IncidentEdges(assignment[anchor], back[0]);
+    const EdgeSpan incident = graph_.IncidentEdges(assignment[anchor], back[0]);
+    std::vector<EdgeId> frontier(incident.begin(), incident.end());
     std::stable_sort(frontier.begin(), frontier.end(), [&](EdgeId a, EdgeId b) {
       return graph_.edge(a).weight > graph_.edge(b).weight;
     });

@@ -157,12 +157,16 @@ int64_t CdbService::StepWave() {
   // platform, own RNG streams), so parallel waves leave per-session state
   // bit-identical to serial ones; disjoint slots collect the outcomes.
   std::vector<std::optional<Result<bool>>> outcomes(order.size());
+  last_wave_step_micros_.assign(order.size(), 0);
   ParallelFor(
       0, static_cast<int64_t>(order.size()), /*grain=*/1,
       [&](int64_t begin, int64_t end, int /*worker*/) {
         for (int64_t i = begin; i < end; ++i) {
+          WallTimer step_timer;
           outcomes[static_cast<size_t>(i)] =
               live_.at(order[static_cast<size_t>(i)]).session->Step();
+          last_wave_step_micros_[static_cast<size_t>(i)] =
+              step_timer.ElapsedMicros();
         }
       },
       options_.num_threads);

@@ -137,6 +137,14 @@ class CdbService {
 
   ServiceStats stats() const CDB_EXCLUDES(mutex_);
 
+  // Wall-clock microseconds of each session step in the most recent wave, in
+  // the wave's stepping order. Wall time varies run to run, so it stays out
+  // of ServiceStats and the metrics registry (both byte-compared).
+  // Driver-serial.
+  const std::vector<int64_t>& last_wave_step_micros() const {
+    return last_wave_step_micros_;
+  }
+
   int64_t num_live() const { return static_cast<int64_t>(live_.size()); }
   int64_t num_pending() const CDB_EXCLUDES(mutex_);
 
@@ -185,6 +193,8 @@ class CdbService {
   std::map<int64_t, Result<ExecutionResult>> finished_;
   std::map<int64_t, std::string> last_checkpoint_;
   ServiceStats driver_stats_;
+  // Per-step wall time of the last wave; each step writes its own slot.
+  std::vector<int64_t> last_wave_step_micros_;
 
   // Cached `service.*` registry handles (null when metrics is unset).
   struct ServiceMetrics {

@@ -112,8 +112,7 @@ int ChooseRoot(const QueryGraph& graph, const std::vector<VertexId>& fixed) {
 }  // namespace
 
 EdgeId FindEdgeBetween(const QueryGraph& graph, VertexId u, VertexId v, int p) {
-  const std::vector<EdgeId>& edges = graph.IncidentEdges(u, p);
-  for (EdgeId e : edges) {
+  for (EdgeId e : graph.IncidentEdges(u, p)) {
     if (graph.Opposite(e, u) == v) return e;
   }
   return kNoEdge;

@@ -1,10 +1,13 @@
 #include "graph/query_graph.h"
 
 #include <algorithm>
+#include <memory>
 #include <unordered_map>
+#include <utility>
 
 #include "common/logging.h"
 #include "common/string_util.h"
+#include "graph/sim_cache.h"
 #include "similarity/sim_join.h"
 
 namespace cdb {
@@ -228,9 +231,10 @@ Result<QueryGraph> QueryGraph::Build(const ResolvedQuery& query,
       join_options.kernel = options.sim_kernel;
       join_options.signature_filter = options.sim_signature_filter;
       join_options.metrics = options.sim_metrics;
-      std::vector<SimPair> pairs = SimilarityJoin(
-          left_vals, right_vals, options.sim_fn, options.epsilon, join_options);
-      for (const SimPair& pair : pairs) {
+      std::shared_ptr<const std::vector<SimPair>> pairs = CachedSimilarityJoin(
+          std::move(left_vals), std::move(right_vals), options.sim_fn,
+          options.epsilon, join_options);
+      for (const SimPair& pair : *pairs) {
         VertexId u = graph.InternVertex(join.left_rel, pair.left);
         VertexId v = graph.InternVertex(join.right_rel, pair.right);
         graph.AddEdge(u, v, static_cast<int>(j), pair.sim, /*is_crowd=*/true,
@@ -266,9 +270,10 @@ Result<QueryGraph> QueryGraph::Build(const ResolvedQuery& query,
         table->StringColumn(table->schema().column(sel.col).name));
     VertexId pseudo = graph.InternVertex(pseudo_rel, 0);
     if (sel.is_crowd) {
-      std::vector<SimPair> matches =
-          SimilaritySearch(vals, sel.value, options.sim_fn, options.epsilon);
-      for (const SimPair& match : matches) {
+      std::shared_ptr<const std::vector<SimPair>> matches =
+          CachedSimilaritySearch(std::move(vals), sel.value, options.sim_fn,
+                                 options.epsilon);
+      for (const SimPair& match : *matches) {
         VertexId u = graph.InternVertex(sel.rel, match.left);
         graph.AddEdge(u, pseudo, pred, match.sim, /*is_crowd=*/true,
                       EdgeColor::kUnknown);

@@ -84,8 +84,8 @@ struct GraphOptions {
 
 // Non-owning view over the edge ids of one incidence slot (or a
 // concatenation of slots). Points into the graph's CSR index; invalidated if
-// the graph is destroyed or rebuilt. Converts implicitly to
-// std::vector<EdgeId> for legacy call sites that copied the list.
+// the graph is destroyed or rebuilt. Callers that need an owned list copy
+// it explicitly (std::vector<EdgeId>(span.begin(), span.end())).
 class EdgeSpan {
  public:
   EdgeSpan() = default;
@@ -97,9 +97,6 @@ class EdgeSpan {
   EdgeId operator[](size_t i) const { return data_[i]; }
   EdgeId front() const { return data_[0]; }
   EdgeId back() const { return data_[size_ - 1]; }
-  operator std::vector<EdgeId>() const {  // NOLINT(google-explicit-constructor)
-    return std::vector<EdgeId>(begin(), end());
-  }
 
  private:
   const EdgeId* data_ = nullptr;
@@ -114,7 +111,10 @@ class QueryGraph {
   QueryGraph() = default;
 
   // Builds the graph for `query`, running similarity joins per crowd
-  // predicate and exact matching per traditional predicate.
+  // predicate and exact matching per traditional predicate. Similarity
+  // results are reused across builds over byte-equal columns
+  // (graph/sim_cache.h); the graph and the sim_metrics counters are the same
+  // either way.
   static Result<QueryGraph> Build(const ResolvedQuery& query,
                                   const GraphOptions& options);
 

@@ -89,14 +89,17 @@ bool IsPunct(char c) {
 // The 2-gram sets of QGramSet(value, 2), one code per gram: the first byte
 // in the high bits, then the second byte + 1 — or 0 for the one-byte token
 // of a string shorter than 2, which std::string orders before every 2-gram
-// it prefixes. Codes therefore compare like the gram strings.
-FlatTokens<uint32_t> QGramCodes(const std::vector<std::string>& values) {
+// it prefixes. Codes therefore compare like the gram strings. With `trim`
+// unset the grams are those of the lowercased bytes as they are, without
+// QGramSet's whitespace trim (what the edit-distance filter needs).
+FlatTokens<uint32_t> QGramCodes(const std::vector<std::string>& values,
+                                bool trim = true) {
   FlatTokens<uint32_t> out;
   out.sizes.resize(values.size());
   for (size_t r = 0; r < values.size(); ++r) {
     std::string_view s = values[r];
-    while (!s.empty() && IsSpace(s.front())) s.remove_prefix(1);
-    while (!s.empty() && IsSpace(s.back())) s.remove_suffix(1);
+    while (trim && !s.empty() && IsSpace(s.front())) s.remove_prefix(1);
+    while (trim && !s.empty() && IsSpace(s.back())) s.remove_suffix(1);
     const size_t begin = out.tokens.size();
     if (s.size() == 1) out.tokens.push_back(uint32_t{LowerByte(s[0])} << 9);
     for (size_t k = 0; k + 1 < s.size(); ++k) {
@@ -675,20 +678,38 @@ size_t BandedEditDistance(std::string_view a, std::string_view b,
   return std::min(prev[m], kInf);
 }
 
+// Largest edit distance d whose similarity 1 - d / max_len, computed with
+// the verifier's double formula, still reaches the threshold (0 when
+// max_len is 0). floor((1 - t) * max_len) can land one short — 1 - 0.8 is
+// 0.19999999999999996, so it gives 1 for max_len 10 although distance 2
+// scores exactly 0.8 — so the estimate is corrected by stepping: the
+// similarity is nonincreasing in d under rounding.
+size_t MaxEditDistance(size_t max_len, double threshold) {
+  if (max_len == 0) return 0;
+  auto reaches = [&](size_t d) {
+    return 1.0 - static_cast<double>(d) / static_cast<double>(max_len) >=
+           threshold;
+  };
+  const double estimate =
+      std::floor((1.0 - threshold) * static_cast<double>(max_len));
+  size_t d = estimate <= 0.0 ? 0
+                             : std::min(max_len, static_cast<size_t>(estimate));
+  while (d < max_len && reaches(d + 1)) ++d;
+  while (d > 0 && !reaches(d)) --d;
+  return d;
+}
+
 // Right lengths L compatible with a left string of length n at threshold t:
-// for L <= n the pair's max_len is n, so L >= n - floor((1-t) * n); for
-// L > n the max_len is L, so L - floor((1-t) * L) <= n — the left side of
+// for L <= n the pair's max_len is n, so L >= n - MaxEditDistance(n); for
+// L > n the max_len is L, so L - MaxEditDistance(L) <= n — the left side of
 // which is nondecreasing in L, so the upper bound is found by scanning up.
 std::pair<size_t, size_t> EdLengthRange(size_t n, size_t max_right_len,
                                         double threshold) {
-  size_t slack =
-      static_cast<size_t>(std::floor((1.0 - threshold) * static_cast<double>(n)));
+  const size_t slack = MaxEditDistance(n, threshold);
   size_t lo = n > slack ? n - slack : 0;
   size_t hi = std::min(n, max_right_len);
   for (size_t L = n + 1; L <= max_right_len; ++L) {
-    size_t max_dist = static_cast<size_t>(
-        std::floor((1.0 - threshold) * static_cast<double>(L)));
-    if (L - n > max_dist) break;
+    if (L - n > MaxEditDistance(L, threshold)) break;
     hi = L;
   }
   return {lo, hi};
@@ -709,18 +730,16 @@ std::vector<SimPair> EditDistanceJoinFlat(const std::vector<std::string>& left,
   for (size_t j = 0; j < right.size(); ++j) right_lower[j] = ToLower(right[j]);
 
   // Gram sets on both sides, encoded once into flat arenas (the legacy
-  // kernel re-materialized the left gram set per probe). QGramCodes trims
-  // and lowercases again, as QGramSet(lower, 2) does.
-  FlatTokens<uint32_t> left_grams = QGramCodes(left_lower);
-  FlatTokens<uint32_t> right_grams = QGramCodes(right_lower);
+  // kernel re-materialized the left gram set per probe). The grams, like
+  // the signatures below, come from the untrimmed lowercased bytes: the
+  // shared-gram count bound and the signature bound are both stated against
+  // the exact strings the banded verifier compares.
+  FlatTokens<uint32_t> left_grams = QGramCodes(left_lower, /*trim=*/false);
+  FlatTokens<uint32_t> right_grams = QGramCodes(right_lower, /*trim=*/false);
   TokenArena left_arena(left_grams.sizes);
   TokenArena right_arena(right_grams.sizes);
   const size_t num_grams =
       EncodeByFrequency(left_grams, right_grams, left_arena, right_arena);
-  // Signatures come from the raw (untrimmed) lowercased bytes so the
-  // admissibility bound is stated against the exact strings the banded
-  // verifier sees; the gram arenas (trimmed, as QGramSet) feed only the
-  // legacy-compatible shared-gram filter.
   std::vector<TokenSignature> left_sig(left.size());
   std::vector<TokenSignature> right_sig(right.size());
   for (size_t i = 0; i < left.size(); ++i) {
@@ -797,8 +816,7 @@ std::vector<SimPair> EditDistanceJoinFlat(const std::vector<std::string>& left,
               out.push_back({static_cast<int32_t>(i), cj, 1.0});
               continue;
             }
-            auto max_dist = static_cast<size_t>(
-                std::floor((1.0 - threshold) * static_cast<double>(max_len)));
+            const size_t max_dist = MaxEditDistance(max_len, threshold);
             size_t diff = a.size() > b.size() ? a.size() - b.size() : b.size() - a.size();
             if (diff > max_dist) continue;
             bool gram_filter_applies =
@@ -831,11 +849,28 @@ std::vector<SimPair> EditDistanceJoinFlat(const std::vector<std::string>& left,
   return ConcatChunks(std::move(chunk_out));
 }
 
-// The original hash-map kernel (bit-identity oracle / perf baseline). One
-// deviation from the seed implementation: the left gram sets are precomputed
-// outside the probe loop instead of materializing a fresh
+// The distinct 2-grams of `lower` as it is — no whitespace trim, unlike
+// QGramSet — or the string itself when it is one byte long. The shared-gram
+// filter must count grams of the bytes the verifier compares: trimmed grams
+// dropped pairs within the distance bound (a whitespace-only string shares
+// no trimmed gram, not even with itself).
+std::vector<std::string> UntrimmedGrams(const std::string& lower) {
+  std::vector<std::string> grams;
+  if (lower.size() == 1) grams.push_back(lower);
+  for (size_t k = 0; k + 1 < lower.size(); ++k) {
+    grams.push_back(lower.substr(k, 2));
+  }
+  std::sort(grams.begin(), grams.end());
+  grams.erase(std::unique(grams.begin(), grams.end()), grams.end());
+  return grams;
+}
+
+// The original hash-map kernel (bit-identity oracle / perf baseline). Two
+// deviations from the seed implementation: the left gram sets are
+// precomputed outside the probe loop instead of materializing a fresh
 // std::vector<std::string> per probe, which changes allocations but not
-// output.
+// output; and the grams are untrimmed (UntrimmedGrams), which fixed dropped
+// pairs.
 std::vector<SimPair> EditDistanceJoinLegacy(
     const std::vector<std::string>& left, const std::vector<std::string>& right,
     double threshold, const SimJoinOptions& options) {
@@ -846,14 +881,14 @@ std::vector<SimPair> EditDistanceJoinLegacy(
 
   std::vector<std::vector<std::string>> left_grams(left.size());
   for (size_t i = 0; i < left.size(); ++i) {
-    left_grams[i] = QGramSet(left_lower[i], 2);
+    left_grams[i] = UntrimmedGrams(left_lower[i]);
   }
 
   std::unordered_map<std::string, std::vector<int32_t>> index;
   size_t max_right_len = 0;
   for (size_t j = 0; j < right.size(); ++j) {
     max_right_len = std::max(max_right_len, right_lower[j].size());
-    for (const auto& gram : QGramSet(right_lower[j], 2)) {
+    for (const auto& gram : UntrimmedGrams(right_lower[j])) {
       index[gram].push_back(static_cast<int32_t>(j));  // cdb-lint: disable=flat-index-hot-path legacy reference kernel
     }
   }
@@ -900,8 +935,7 @@ std::vector<SimPair> EditDistanceJoinLegacy(
               out.push_back({static_cast<int32_t>(i), cj, 1.0});
               continue;
             }
-            auto max_dist = static_cast<size_t>(
-                std::floor((1.0 - threshold) * static_cast<double>(max_len)));
+            const size_t max_dist = MaxEditDistance(max_len, threshold);
             size_t diff = a.size() > b.size() ? a.size() - b.size() : b.size() - a.size();
             if (diff > max_dist) continue;
             bool gram_filter_applies =

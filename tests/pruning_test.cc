@@ -8,6 +8,12 @@
 namespace cdb {
 namespace {
 
+// The incident edges of (v, p) as an owned cut list.
+std::vector<EdgeId> CutAt(const QueryGraph& graph, VertexId v, int p) {
+  const EdgeSpan edges = graph.IncidentEdges(v, p);
+  return std::vector<EdgeId>(edges.begin(), edges.end());
+}
+
 TEST(PrunerTest, AllValidInitially) {
   QueryGraph graph = testing_util::MakeFigure4Neighborhood();
   Pruner pruner(&graph);
@@ -57,11 +63,11 @@ TEST(PrunerTest, SimulateCutMatchesPaperAlphaBeta) {
   ASSERT_NE(r1, kNoVertex);
   ASSERT_NE(p1, kNoVertex);
 
-  std::vector<EdgeId> r1_cut = graph.IncidentEdges(r1, 1);
+  const std::vector<EdgeId> r1_cut = CutAt(graph, r1, 1);
   ASSERT_EQ(r1_cut.size(), 1u);
   EXPECT_EQ(pruner.SimulateCutInvalidation(r1_cut), 2);
 
-  std::vector<EdgeId> p1_cut = graph.IncidentEdges(p1, 1);
+  const std::vector<EdgeId> p1_cut = CutAt(graph, p1, 1);
   ASSERT_EQ(p1_cut.size(), 3u);
   EXPECT_EQ(pruner.SimulateCutInvalidation(p1_cut), 6);
 }
@@ -70,7 +76,7 @@ TEST(PrunerTest, SimulationRollsBack) {
   QueryGraph graph = testing_util::MakeFigure4Neighborhood();
   Pruner pruner(&graph);
   VertexId p1 = graph.FindVertex(2, 1);
-  std::vector<EdgeId> cut = graph.IncidentEdges(p1, 1);
+  const std::vector<EdgeId> cut = CutAt(graph, p1, 1);
   size_t before = pruner.RemainingTasks().size();
   // Run the simulation multiple times; results must be stable and state
   // restored each time.

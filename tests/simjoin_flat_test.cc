@@ -289,8 +289,7 @@ TEST(SimJoinEdgeCaseTest, FlatMatchesLegacyOnTokenizerEdgeCases) {
 
 // The edit-distance kernel reuses its verifier rows across candidates; every
 // pair it reports must carry the sim of an independent full dynamic program,
-// bit for bit. (Completeness is not asserted: the shared-2-gram filter works
-// on trimmed grams, so a whitespace-only string never meets its equal.)
+// bit for bit. Completeness is the next test's job.
 TEST(SimJoinEdgeCaseTest, EditDistanceSimsMatchFullDynamicProgram) {
   const std::vector<std::string> left = EdgeCaseStrings();
   const std::vector<std::string> right(left.rbegin(), left.rend());
@@ -305,6 +304,46 @@ TEST(SimJoinEdgeCaseTest, EditDistanceSimsMatchFullDynamicProgram) {
       EXPECT_EQ(std::memcmp(&p.sim, &expected, sizeof(double)), 0)
           << "t=" << threshold << " pair " << p.left << "," << p.right;
       EXPECT_GE(p.sim, threshold);
+    }
+  }
+}
+
+// Both edit-distance kernels equal a brute-force scan of the cross product:
+// no filter may drop a pair within the distance bound. The shared-2-gram
+// filter once counted trimmed grams, so whitespace-only strings ("\t \n"
+// against itself at 0.8) and whitespace-edged ones went missing.
+TEST(SimJoinEdgeCaseTest, EditDistanceJoinEqualsBruteForce) {
+  const std::vector<std::string> left = EdgeCaseStrings();
+  std::vector<std::string> right(left.rbegin(), left.rend());
+  right.push_back("  ");
+  right.push_back("\t  \n");
+  right.push_back(" ab");
+  for (double threshold : {0.1, 0.3, 0.5, 0.8, 1.0}) {
+    std::vector<SimPair> expected;
+    for (size_t i = 0; i < left.size(); ++i) {
+      for (size_t j = 0; j < right.size(); ++j) {
+        const double sim = ComputeSimilarity(SimilarityFunction::kEditDistance,
+                                             left[i], right[j]);
+        if (sim >= threshold) {
+          expected.push_back(
+              {static_cast<int32_t>(i), static_cast<int32_t>(j), sim});
+        }
+      }
+    }
+    for (SimJoinKernel kernel :
+         {SimJoinKernel::kFlat, SimJoinKernel::kLegacy}) {
+      for (bool signature_filter : {true, false}) {
+        SimJoinOptions options;
+        options.kernel = kernel;
+        options.signature_filter = signature_filter;
+        ExpectBitIdentical(
+            SimilarityJoin(left, right, SimilarityFunction::kEditDistance,
+                           threshold, options),
+            expected,
+            std::string(SimJoinKernelName(kernel)) + " filter=" +
+                (signature_filter ? "on" : "off") +
+                " t=" + std::to_string(threshold));
+      }
     }
   }
 }
